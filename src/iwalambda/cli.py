@@ -4,8 +4,9 @@ Field inputs come from flags or a flat key=value config file (flags win).
 JSON output is byte-identical across runs for identical inputs: keys are
 sorted, characters are labeled by canonical orbit representative ("one"
 and "omega" for the unit and Teichmueller characters), and no timestamps
-enter the payload.  Exit codes: 2 invalid field, 3 invalid prime set,
-4 scale exceeded, 5 inconsistent data.
+enter the payload.  Exit codes: 1 malformed argument or failed internal
+check, 2 invalid field, 3 invalid prime set, 4 scale exceeded,
+5 inconsistent data.
 """
 
 from __future__ import annotations
@@ -116,7 +117,10 @@ def _emit(payload: dict, fmt: str) -> None:
 def _int_list(text: str | None) -> tuple[int, ...]:
     if not text:
         return ()
-    return tuple(int(tok) for tok in text.split(",") if tok.strip() != "")
+    try:
+        return tuple(int(tok) for tok in text.split(",") if tok.strip() != "")
+    except ValueError:
+        raise IwalambdaError(f"not a comma list of integers: {text!r}") from None
 
 
 _TERM = re.compile(r"^([+-]?\d*)\*?(T(?:\^(\d+))?)?$")
@@ -165,13 +169,13 @@ def cmd_chars(args) -> dict:
     field.require_mirror_valid()
     omega = teichmuller(field).rep
     chars = ladic_chars_of(field)
+    orbit_label = {chi.coeffs: _char_label(phi.rep, omega) for phi in chars for chi in phi.orbit}
 
     def mirror_label(phi: LadicChar) -> str:
-        target = omega * phi.rep.inverse()
-        for other in chars:
-            if target in other.orbit:
-                return _char_label(other.rep, omega)
-        raise AssertionError("mirror partner missing")
+        label = orbit_label.get((omega * phi.rep.inverse()).coeffs)
+        if label is None:
+            raise AssertionError("mirror partner missing")
+        return label
 
     result = [
         {

@@ -339,21 +339,36 @@ def _unit_gens_prime_power(p: int, a: int) -> list[tuple[int, int]]:
 
 
 class UnitGroupModM:
-    """(Z/m)* in invariant-factor form with mutually inverse residue/dlog maps."""
+    """(Z/m)* in invariant-factor form with mutually inverse residue/dlog maps.
+
+    dlog never enumerates (Z/m)*: it reduces a residue mod each prime-power
+    block p^a of m and reads the block's exponents from one power table (of
+    the primitive root, or of 5 once the sign is split off when p = 2), so
+    construction costs the sum of phi(p^a) rather than phi(m).
+    """
 
     def __init__(self, m: int):
-        if m < 2 or m > UNIT_GROUP_MODULUS_CAP:
+        if m < 2:
+            raise FieldError("conductor must be at least 2")
+        if m > UNIT_GROUP_MODULUS_CAP:
             raise FieldError("conductor too large")
         self.m = m
         fact = sorted(factorize(m).items())
         gens: list[int] = []
         orders: list[int] = []
+        # per block: (p^a, whether -1 is a separate generator, log table of
+        # the block's last generator indexed by residue mod p^a)
+        self._blocks: list[tuple[int, bool, list[int]]] = []
         for p, a in fact:
             q = p**a
             rest = m // q
-            for g, o in _unit_gens_prime_power(p, a):
+            block = _unit_gens_prime_power(p, a)
+            for g, o in block:
                 gens.append(crt([g, 1], [q, rest]) if rest > 1 else g % m)
                 orders.append(o)
+            if block:
+                g, o = block[-1]
+                self._blocks.append((q, len(block) == 2, _power_table(g, o, q)))
         self._gens = gens
         self._orders = orders
         n = len(gens)
@@ -375,7 +390,6 @@ class UnitGroupModM:
             self._residue_from_gen_coords([self._Uinv[r][i] for r in range(n)])
             for i in self._slots
         ]
-        self._dlog = self._build_dlog_table()
 
     def _residue_from_gen_coords(self, x) -> int:
         r = 1
@@ -395,25 +409,31 @@ class UnitGroupModM:
         a %= self.m
         if gcd(a, self.m) != 1:
             raise ValueError("not a unit")
-        return self._dlog[a]
+        x: list[int] = []
+        for q, has_sign, table in self._blocks:
+            r = a % q
+            if has_sign:  # r = (-1)^s 5^e mod 2^k, and 5^e = 1 mod 4
+                s = 1 if r % 4 == 3 else 0
+                x.append(s)
+                if s:
+                    r = q - r
+            x.append(table[r])
+        y = _matvec(self._U, x)
+        return self.group.element(y[i] for i in self._slots)
 
-    def _build_dlog_table(self) -> dict[int, GroupElement]:
-        # per-generator power tables would do, but a direct scan over all
-        # units is simplest and exact; the modulus cap keeps it cheap
-        table: dict[int, GroupElement] = {}
-        n = len(self._gens)
-        if n == 0:
-            table[1 % self.m] = self.group.identity()
-            return table
-        for combo in itertools.product(*(range(o) for o in self._orders)):
-            r = self._residue_from_gen_coords(list(combo))
-            y = _matvec(self._U, list(combo))
-            el = self.group.element(y[i] for i in self._slots)
-            table.setdefault(r, el)
-        return table
+
+def _power_table(g: int, order: int, q: int) -> list[int]:
+    """table[g^e mod q] = e for 0 <= e < order; other entries are unused."""
+    table = [0] * q
+    r = 1
+    for e in range(order):
+        table[r] = e
+        r = r * g % q
+    return table
 
 
 @lru_cache(maxsize=None)
 def unit_group(m: int) -> UnitGroupModM:
-    """The group (Z/m)*, cached: construction enumerates all phi(m) units."""
+    """The group (Z/m)*, cached: construction fills one power table per
+    prime-power block of m."""
     return UnitGroupModM(m)

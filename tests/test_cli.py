@@ -47,6 +47,28 @@ class TestChars:
         rc, _, err = run_cli("chars", "--ell", "3", "--conductor", "9")
         assert rc == 2 and "group order" in err
 
+    @pytest.mark.parametrize("m", [165, 2805])
+    def test_mirror_labels_name_the_orbit_of_omega_over_rep(self, m):
+        rc, out, _ = run_cli("chars", "--ell", "3", "--conductor", str(m))
+        assert rc == 0
+        data = json.loads(out)
+        ell, d = data["field"]["ell"], data["field"]["delta"]
+        chars = data["result"]["characters"]
+        omega = next(c["coords"] for c in chars if c["label"] == "omega")
+
+        def orbit(coords):
+            members, cur = set(), tuple(coords)
+            while cur not in members:
+                members.add(cur)
+                cur = tuple(ell * x % di for x, di in zip(cur, d))
+            return members
+
+        orbits = [(c["label"], orbit(c["coords"])) for c in chars]
+        for c in chars:
+            target = tuple((w - x) % di for w, x, di in zip(omega, c["coords"], d))
+            owners = [label for label, members in orbits if target in members]
+            assert owners == [c["mirror"]], c["label"]
+
 
 class TestDefect:
     def test_example_with_verify(self):
@@ -159,6 +181,26 @@ class TestAmbigAndCohomology:
         assert rc == 0 and data["result"]["herbrand"] == "1"
 
 
+class TestMalformedIntegerLists:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("defect", "--ell", "3", "--conductor", "15", "--primes", "7,x"),
+            ("cohomology", "--factors", "3,x", "--sigma=1,0;0,1", "--order", "3"),
+            ("chars", "--ell", "3", "--conductor", "15", "--subgroup", "4,x"),
+            ("simulate", "--ell", "3", "--poly", "T+3", "--mu", "1,x", "--n", "3"),
+            ("ambig", "--class-val", "1", "--ram", "1,x", "--deg", "1"),
+            ("cohomology", "--factors", "3,9", "--sigma=1,0;0,x", "--order", "3"),
+        ],
+    )
+    def test_exit_1_with_one_error_line(self, argv):
+        rc, out, err = run_cli(*argv)
+        assert rc == 1 and out == ""
+        assert "Traceback" not in err
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: not a comma list of integers")
+
+
 class TestConfigAndFormats:
     def test_config_file(self, tmp_path):
         cfg = tmp_path / "job.cfg"
@@ -216,6 +258,11 @@ class TestFieldInputs:
         assert rc == 0
         assert data["field"]["subgroup"] == [4]
         assert sum(c["degree"] for c in data["result"]["characters"]) == 4
+
+    def test_conductor_below_two(self):
+        for m in ("0", "-3"):
+            rc, _, err = run_cli("chars", "--ell", "3", "--conductor", m)
+            assert rc == 2 and err == "error: conductor must be at least 2\n"
 
     def test_conductor_not_divisible(self):
         rc, _, err = run_cli("chars", "--ell", "3", "--conductor", "10")

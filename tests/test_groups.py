@@ -36,10 +36,23 @@ class TestUnitGroup:
             assert len(units) == U.group.order
             for a in units:
                 assert U.residue_of(U.dlog(a)) == a
+        # large moduli, sampled; 2^16 has two generators in one block
+        rng = random.Random(11)
+        for m in (98403, 99999, 65536):
+            U = unit_group(m)
+            units = [a for a in (rng.randrange(1, m) for _ in range(1500)) if math.gcd(a, m) == 1]
+            for a, b in zip(units, reversed(units)):
+                assert U.residue_of(U.dlog(a)) == a
+                assert U.dlog(a * b) == U.dlog(a) + U.dlog(b)
 
     def test_conductor_cap(self):
         with pytest.raises(FieldError, match="conductor too large"):
             unit_group(10**5 + 1)
+
+    def test_conductor_below_two(self):
+        for m in (1, 0, -3):
+            with pytest.raises(FieldError, match="conductor must be at least 2"):
+                unit_group(m)
 
     def test_non_unit_dlog(self):
         with pytest.raises(ValueError, match="not a unit"):
