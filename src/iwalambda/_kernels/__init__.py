@@ -1,26 +1,13 @@
-"""Reduction-kernel backend selection.
+"""The reduction kernel.
 
 The hot loop of the whole package is the elementary-divisor reduction of
 an integer matrix over Z/ell^n (a chain ring, so valuation-pivot Gaussian
-elimination is a complete algorithm).  A Cython build is used when
-available; otherwise the pure-Python twin takes over.  Set
-IWALAMBDA_BACKEND=python to force the fallback.
+elimination is a complete algorithm).  It is plain Python; BACKEND names
+it for benchmark records.
 """
 
-import os
+from ._snf_py import snf_mod_valuations
 
-from ._snf_py import snf_mod_valuations as _py_snf_mod_valuations
-
-if os.environ.get("IWALAMBDA_BACKEND", "").lower() == "python":
-    snf_mod_valuations = _py_snf_mod_valuations
-    BACKEND = "python"
-else:
-    try:
-        from ._snf_cy import snf_mod_valuations  # type: ignore[no-redef]
-
-        BACKEND = "cython"
-    except ImportError:
-        snf_mod_valuations = _py_snf_mod_valuations
-        BACKEND = "python"
+BACKEND = "python"
 
 __all__ = ["snf_mod_valuations", "BACKEND"]

@@ -1,8 +1,5 @@
-"""Pure-Python twin of the Cython reduction kernel.
-
-Same contract, same algorithm: valuation-pivot elimination over the chain
-ring Z/ell^n.  Kept dependency-free so the package works without a C
-compiler; the benchmark script compares the two.
+"""The reduction kernel: valuation-pivot elimination over the chain ring
+Z/ell^n, in plain Python with no dependencies.
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InconsistentDataError
-from .exact import smith_normal_form
+from .exact import identity_matrix, smith_normal_form
 from .groups import FiniteAbelianGroup, GroupElement, Subgroup, quotient, subgroup_generated
 
 
@@ -70,7 +70,7 @@ class FiniteGammaModule:
     def norm_matrix(self) -> list[list[int]]:
         k = self.module.rank
         total = [[0] * k for _ in range(k)]
-        power = _identity_matrix(k)
+        power = identity_matrix(k)
         for _ in range(self.order_n):
             for i in range(k):
                 for j in range(k):
@@ -79,11 +79,7 @@ class FiniteGammaModule:
         return total
 
     def sigma_minus_one(self) -> list[list[int]]:
-        return _mat_sub_identity(self.sigma, 1)
-
-
-def _identity_matrix(k: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(k)] for i in range(k)]
+        return _mat_sub_identity(self.sigma)
 
 
 def _mat_mul(a, b) -> list[list[int]]:
@@ -92,7 +88,7 @@ def _mat_mul(a, b) -> list[list[int]]:
 
 
 def _mat_power(a, n: int) -> list[list[int]]:
-    out = _identity_matrix(len(a))
+    out = identity_matrix(len(a))
     base = [list(r) for r in a]
     while n:
         if n & 1:
@@ -102,14 +98,18 @@ def _mat_power(a, n: int) -> list[list[int]]:
     return out
 
 
-def _mat_sub_identity(a, diag: int) -> list[list[int]]:
+def _mat_sub_identity(a) -> list[list[int]]:
     k = len(a)
-    return [[a[i][j] - (diag if i == j else 0) for j in range(k)] for i in range(k)]
+    return [[a[i][j] - (1 if i == j else 0) for j in range(k)] for i in range(k)]
 
 
 def _cokernel_order(F: list[list[int]], d: tuple[int, ...]) -> int:
     """|M / im(F)| for the module with invariant factors d: Smith form of
-    the columns of F together with the relation lattice."""
+    the columns of F together with the relation lattice.
+
+    On a finite module this is also |ker(F)|, by counting: |M| = |ker F| *
+    |im F|, so the Tate orders below read kernels off this one function.
+    """
     k = len(d)
     if k == 0:
         return 1
@@ -120,17 +120,12 @@ def _cokernel_order(F: list[list[int]], d: tuple[int, ...]) -> int:
     return out
 
 
-def _kernel_order(F: list[list[int]], d: tuple[int, ...]) -> int:
-    """|ker(F)| on the finite module: equals |M/im F| by finite counting."""
-    return _cokernel_order(F, d)
-
-
 def tate_h1(M: FiniteGammaModule) -> int:
     """|H^1| = |ker(norm)| / |im(sigma - 1)|."""
     d = M.module.invariant_factors
     order = M.module.order
-    ker_norm = _kernel_order(M.norm_matrix(), d)
-    im_sigma = order // _kernel_order(M.sigma_minus_one(), d)
+    ker_norm = _cokernel_order(M.norm_matrix(), d)
+    im_sigma = order // _cokernel_order(M.sigma_minus_one(), d)
     if ker_norm % im_sigma != 0:
         raise AssertionError("im(sigma-1) does not sit inside ker(norm)")
     return ker_norm // im_sigma
@@ -140,8 +135,8 @@ def tate_h0(M: FiniteGammaModule) -> int:
     """|H^0-hat| = |ker(sigma - 1)| / |im(norm)|."""
     d = M.module.invariant_factors
     order = M.module.order
-    ker_sigma = _kernel_order(M.sigma_minus_one(), d)
-    im_norm = order // _kernel_order(M.norm_matrix(), d)
+    ker_sigma = _cokernel_order(M.sigma_minus_one(), d)
+    im_norm = order // _cokernel_order(M.norm_matrix(), d)
     if ker_sigma % im_norm != 0:
         raise AssertionError("im(norm) does not sit inside ker(sigma-1)")
     return ker_sigma // im_norm

@@ -2,8 +2,8 @@
 
 Everything here is arbitrary-precision integer arithmetic: valuations,
 multiplicative orders, CRT, factorization helpers, and Smith normal form
-over Z with optional unimodular transforms.  No floating point is used
-anywhere in the package.
+over Z with its unimodular row transform and that transform's inverse.
+No floating point is used anywhere in the package.
 """
 
 from __future__ import annotations
@@ -151,7 +151,7 @@ class IntMatrix:
         return [list(r) for r in self.entries]
 
 
-def _identity(n: int) -> list[list[int]]:
+def identity_matrix(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
@@ -161,48 +161,54 @@ def _nearest_div(a: int, b: int) -> int:
 
 
 def _snf_with_transform(rows: list[list[int]]) -> tuple[list[int], list[list[int]], list[list[int]]]:
-    """Smith reduction over Z with transforms: returns (d, U, V), U*M*V = diag(d).
+    """Smith reduction over Z with the row transform: returns (d, U, U^-1).
 
-    d has length min(r, c), is nonnegative, and satisfies d_i | d_{i+1}
-    (zeros, meaning free cokernel factors, come last).  Any pivot strategy
-    is fine by contract; this one re-selects the least-|value| entry of the
-    minor each round and reduces with nearest-integer division, which keeps
-    coefficient growth tame at desk scale.
+    U is unimodular and U*M*V = diag(d) for a unimodular V that is never
+    built, so row i of U*M is divisible by d_i, and zero when d_i = 0 or
+    i >= len(d).  d has length min(r, c), is nonnegative, and satisfies
+    d_i | d_{i+1} (zeros, meaning free cokernel factors, come last).
+    U^-1 follows U through the inverse of each row operation, at O(r) per
+    operation.  Any pivot strategy is fine by contract; this one
+    re-selects the least-|value| entry of the minor each round and reduces
+    with nearest-integer division, which keeps coefficient growth tame at
+    desk scale.
     """
     a = [list(r) for r in rows]
     r = len(a)
     c = len(a[0]) if a else 0
-    U = _identity(r)
-    V = _identity(c)
+    U = identity_matrix(r)
+    Uinv = identity_matrix(r)
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
         U[i], U[j] = U[j], U[i]
+        for row in Uinv:
+            row[i], row[j] = row[j], row[i]
 
     def swap_cols(i, j):
         for row in a:
             row[i], row[j] = row[j], row[i]
-        for row in V:
-            row[i], row[j] = row[j], row[i]
 
     def addmul_row(dst, src, q):
-        # row_dst -= q * row_src
+        # row_dst -= q * row_src; its inverse is col_src += q * col_dst
         ad, asrc = a[dst], a[src]
         for k in range(c):
             ad[k] -= q * asrc[k]
         ud, usrc = U[dst], U[src]
         for k in range(r):
             ud[k] -= q * usrc[k]
+        for row in Uinv:
+            row[src] += q * row[dst]
 
     def addmul_col(dst, src, q):
         for row in a:
-            row[dst] -= q * row[src]
-        for row in V:
             row[dst] -= q * row[src]
 
     def negate_row(i):
         a[i] = [-x for x in a[i]]
         U[i] = [-x for x in U[i]]
+        for row in Uinv:
+            row[i] = -row[i]
 
     t = 0
     size = min(r, c)
@@ -259,7 +265,7 @@ def _snf_with_transform(rows: list[list[int]]) -> tuple[list[int], list[list[int
         t += 1
 
     d = [a[i][i] for i in range(size)]
-    return d, U, V
+    return d, U, Uinv
 
 
 def smith_normal_form(m: IntMatrix | list[list[int]]) -> tuple[int, ...]:

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .errors import FieldError
+from .errors import FieldError, ScaleError
 from .exact import _snf_with_transform, crt, factorize
 
 UNIT_GROUP_MODULUS_CAP = 10**5
@@ -187,26 +186,6 @@ def all_subgroups(G: FiniteAbelianGroup) -> list[Subgroup]:
     return sorted(out.values(), key=lambda s: (s.order, [e.coords for e in s.elements]))
 
 
-def _rational_solve(A: list[list[int]], B: list[list[int]]) -> list[list[int]]:
-    """Solve A X = B exactly; entries of X must come out integral."""
-    n = len(A)
-    m = len(B[0])
-    aug = [[Fraction(A[i][j]) for j in range(n)] + [Fraction(B[i][j]) for j in range(m)] for i in range(n)]
-    for col in range(n):
-        piv = next(i for i in range(col, n) if aug[i][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
-    X = [[aug[i][n + j] for j in range(m)] for i in range(n)]
-    if any(x.denominator != 1 for row in X for x in row):
-        raise ValueError("system has no integral solution")
-    return [[int(x) for x in row] for row in X]
-
-
 def _matvec(M: list[list[int]], v) -> list[int]:
     return [sum(M[i][j] * v[j] for j in range(len(v))) for i in range(len(M))]
 
@@ -225,15 +204,17 @@ def _subgroup_structure(H: Subgroup):
         [G.invariant_factors[i] if j == i else 0 for j in range(k)] for i in range(k)
     ]
     M = [[cols[j][i] for j in range(len(cols))] for i in range(k)]
-    d1, U1, _ = _snf_with_transform(M)
-    U1inv = _rational_solve(U1, _identity_rows(k))
-    # basis of L': columns b_i = s_i * U1^{-1} e_i
-    basis = [[U1inv[r][i] * d1[i] for r in range(k)] for i in range(k)]
-    B = [[basis[j][i] for j in range(k)] for i in range(k)]  # columns are basis vectors
-    D = [[G.invariant_factors[i] if j == i else 0 for j in range(k)] for i in range(k)]
-    C = _rational_solve(B, D)  # L expressed in the basis of L'
-    d2, U2, _ = _snf_with_transform(C)
-    U2inv = _rational_solve(U2, _identity_rows(k))
+    d1, U1, U1inv = _snf_with_transform(M)
+    # basis of L': columns b_i = d1_i * U1^{-1} e_i, so B = U1^{-1} diag(d1)
+    B = [[U1inv[r][i] * d1[i] for i in range(k)] for r in range(k)]
+    # L = diag(d) expressed in the basis of L': C = B^{-1} D = diag(d1)^{-1} U1 D,
+    # an exact division because L' contains the relation lattice L
+    C = [[U1[i][j] * G.invariant_factors[j] for j in range(k)] for i in range(k)]
+    for i in range(k):
+        if any(x % d1[i] for x in C[i]):
+            raise AssertionError("subgroup lattice does not contain the relations")
+        C[i] = [x // d1[i] for x in C[i]]
+    d2, U2, U2inv = _snf_with_transform(C)
     slots = [i for i, s in enumerate(d2) if s >= 2]
     T = FiniteAbelianGroup(tuple(d2[i] for i in slots))
 
@@ -255,10 +236,6 @@ def _subgroup_structure(H: Subgroup):
     if len(from_parent) != H.order or set(from_parent) != H._members:
         raise AssertionError("subgroup presentation failed to biject")
     return T, to_parent, from_parent
-
-
-def _identity_rows(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 @dataclass
@@ -304,8 +281,7 @@ def quotient(G: FiniteAbelianGroup, H: Subgroup) -> Quotient:
         [G.invariant_factors[i] if j == i else 0 for j in range(k)] for i in range(k)
     ]
     M = [[cols[j][i] for j in range(len(cols))] for i in range(k)]
-    d, U, _ = _snf_with_transform(M)
-    Uinv = _rational_solve(U, _identity_rows(k))
+    d, U, Uinv = _snf_with_transform(M)
     slots = [i for i, s in enumerate(d) if s >= 2]
     T = FiniteAbelianGroup(tuple(d[i] for i in slots))
     return Quotient(G, T, U, Uinv, d, slots)
@@ -351,7 +327,7 @@ class UnitGroupModM:
         if m < 2:
             raise FieldError("conductor must be at least 2")
         if m > UNIT_GROUP_MODULUS_CAP:
-            raise FieldError("conductor too large")
+            raise ScaleError("conductor too large")
         self.m = m
         fact = sorted(factorize(m).items())
         gens: list[int] = []
@@ -380,10 +356,8 @@ class UnitGroupModM:
             self._divisors = []
         else:
             D = [[orders[i] if j == i else 0 for j in range(n)] for i in range(n)]
-            d, U, _ = _snf_with_transform(D)
+            d, self._U, self._Uinv = _snf_with_transform(D)
             self.group = FiniteAbelianGroup(tuple(s for s in d if s >= 2))
-            self._U = U
-            self._Uinv = _rational_solve(U, _identity_rows(n))
             self._slots = [i for i, s in enumerate(d) if s >= 2]
             self._divisors = d
         self._basis_residues = [

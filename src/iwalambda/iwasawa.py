@@ -10,7 +10,7 @@ of consecutive levels.
 
 The polynomial summands need the elementary divisors of multiplication
 by f on the lattice Z[T]/(omega_n); capping at exponent ell^N means the
-reduction can run entirely over Z/ell^N, which is what the compiled
+reduction can run entirely over Z/ell^N, which is what the reduction
 kernel does.  An independent construction (integer Smith form of the
 stacked relation lattice) is exposed for cross-checking.
 """

@@ -7,6 +7,7 @@ have something independent to be checked against.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 
@@ -43,6 +44,20 @@ def det_by_cofactors(M: list[list[int]]) -> int:
         minor = [row[:j] + row[j + 1 :] for row in M[1:]]
         total += (-1) ** j * M[0][j] * det_by_cofactors(minor)
     return total
+
+
+def determinantal_divisors(M: list[list[int]]) -> list[int]:
+    """[D_1, ..., D_k], k = min(rows, cols): D_i is the gcd of all i x i
+    minors of M (0 when they all vanish), each minor by cofactors."""
+    r, c = len(M), len(M[0])
+    out = []
+    for i in range(1, min(r, c) + 1):
+        g = 0
+        for rows in itertools.combinations(range(r), i):
+            for cols in itertools.combinations(range(c), i):
+                g = math.gcd(g, det_by_cofactors([[M[a][b] for b in cols] for a in rows]))
+        out.append(g)
+    return out
 
 
 def primes_below(n: int) -> list[int]:

@@ -2,8 +2,7 @@
 
 Run with `pytest tests/test_acceptance.py -s` to see the per-criterion
 lines and timings.  Everything is exact arithmetic; the stated budgets
-are generous (the whole suite finishes in a few seconds with the
-compiled kernel and well inside the budgets without it).
+are generous (the whole suite finishes well inside them).
 """
 
 import itertools

@@ -1,4 +1,5 @@
 import json
+import resource
 import subprocess
 import sys
 
@@ -46,6 +47,28 @@ class TestChars:
     def test_invalid_field(self):
         rc, _, err = run_cli("chars", "--ell", "3", "--conductor", "9")
         assert rc == 2 and "group order" in err
+
+    def test_conductor_over_cap_is_scale_error(self):
+        rc, out, err = run_cli("chars", "--ell", "3", "--conductor", "120003")
+        assert rc == 4 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0] == "error: conductor too large"
+
+    def test_large_subgroup_under_1gib(self):
+        # |H| = 16664; the field lacks the cube roots of unity, which is
+        # only found after the quotient is built
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "iwalambda.cli", "chars", "--ell", "3",
+             "--conductor", "99987", "--subgroup", "2"],
+            capture_output=True, text=True, preexec_fn=limit,
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
 
     @pytest.mark.parametrize("m", [165, 2805])
     def test_mirror_labels_name_the_orbit_of_omega_over_rep(self, m):

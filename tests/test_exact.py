@@ -16,7 +16,7 @@ from iwalambda.exact import (
     smith_normal_form,
     valuation,
 )
-from oracles import det_by_cofactors, order_by_powering, valuation_by_division
+from oracles import det_by_cofactors, determinantal_divisors, order_by_powering, valuation_by_division
 
 
 class TestValuation:
@@ -119,17 +119,29 @@ class TestSmith:
                 prod *= x
             assert prod == abs(det)
 
-    def test_transform_reconstruction(self):
-        rng = random.Random(3)
-        for _ in range(60):
-            r, c = rng.randint(1, 5), rng.randint(1, 5)
-            M = [[rng.randint(-20, 20) for _ in range(c)] for _ in range(r)]
-            d, U, V = _snf_with_transform([row[:] for row in M])
-            UM = [[sum(U[i][k] * M[k][j] for k in range(r)) for j in range(c)] for i in range(r)]
-            S = [[sum(UM[i][k] * V[k][j] for k in range(c)) for j in range(c)] for i in range(r)]
-            for i in range(r):
-                for j in range(c):
-                    assert S[i][j] == (d[i] if i == j and i < len(d) else 0)
+    @given(st.integers(min_value=1, max_value=5).flatmap(
+        lambda c: st.lists(
+            st.lists(st.integers(min_value=-20, max_value=20), min_size=c, max_size=c),
+            min_size=1, max_size=5,
+        )
+    ))
+    def test_row_transform_contract(self, M):
+        r, c = len(M), len(M[0])
+        d, U, Uinv = _snf_with_transform([row[:] for row in M])
+        for i in range(r):
+            for j in range(r):
+                assert sum(U[i][k] * Uinv[k][j] for k in range(r)) == (1 if i == j else 0)
+        UM = [[sum(U[i][k] * M[k][j] for k in range(r)) for j in range(c)] for i in range(r)]
+        for i in range(r):
+            di = d[i] if i < len(d) else 0
+            if di == 0:
+                assert UM[i] == [0] * c
+            else:
+                assert all(x % di == 0 for x in UM[i])
+        prod = 1
+        for di, Di in zip(d, determinantal_divisors(M)):
+            prod *= di
+            assert prod == Di
 
     def test_cokernel_invariants(self):
         torsion, free = cokernel_invariants([[2, 0], [0, 0]])

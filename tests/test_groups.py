@@ -1,9 +1,12 @@
 import math
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
-from iwalambda.errors import FieldError
+from iwalambda.errors import FieldError, ScaleError
 from iwalambda.groups import (
     FiniteAbelianGroup,
     all_subgroups,
@@ -46,7 +49,7 @@ class TestUnitGroup:
                 assert U.dlog(a * b) == U.dlog(a) + U.dlog(b)
 
     def test_conductor_cap(self):
-        with pytest.raises(FieldError, match="conductor too large"):
+        with pytest.raises(ScaleError, match="conductor too large"):
             unit_group(10**5 + 1)
 
     def test_conductor_below_two(self):
@@ -124,6 +127,24 @@ class TestQuotient:
                 assert kernel == {h.coords for h in H.elements}
                 for q in Q.group.elements():
                     assert Q.project(Q.section(q)) == q
+
+    def test_large_subgroup_under_1gib(self):
+        # |H| = 16664: the reduction sees a 2 x 16666 matrix and must stay
+        # linear in its width
+        child = textwrap.dedent("""
+            import resource
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+            from iwalambda.groups import quotient, subgroup_generated, unit_group
+            U = unit_group(99987)
+            H = subgroup_generated(U.group, [U.dlog(2)])
+            Q = quotient(U.group, H)
+            assert H.order == 16664, H.order
+            assert Q.group.invariant_factors == (4,), Q.group
+            assert U.group.order == H.order * Q.group.order
+            assert all(Q.project(h).is_identity for h in H)
+        """)
+        proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
     def test_projection_is_homomorphism(self):
         G = FiniteAbelianGroup((2, 4))

@@ -3,7 +3,6 @@ import random
 import pytest
 
 from iwalambda._kernels import snf_mod_valuations
-from iwalambda._kernels._snf_py import snf_mod_valuations as py_snf_mod_valuations
 from iwalambda.errors import ScaleError
 from iwalambda.exact import smith_normal_form, valuation
 from iwalambda.iwasawa import (
@@ -99,7 +98,7 @@ class TestDualConstruction:
                     b = poly_level_valuation_direct(f, ell, n, n)
                     assert a == b, (ell, f, n)
 
-    def test_kernel_backends_agree(self):
+    def test_kernel_matches_integer_smith_form(self):
         rng = random.Random(22)
         for _ in range(40):
             ncols = rng.randint(1, 6)
@@ -110,8 +109,6 @@ class TestDualConstruction:
             ell = rng.choice([3, 5])
             n = rng.randint(0, 4)
             a = snf_mod_valuations([r[:] for r in rows], ell, n)
-            b = py_snf_mod_valuations([r[:] for r in rows], ell, n)
-            assert a == b
             d = smith_normal_form(rows)
             expect = sorted(
                 [min(valuation(x, ell), n) if x else n for x in d]
