@@ -139,6 +139,8 @@ def parse_poly(text: str) -> tuple[int, ...]:
         coeff = int(sign_part) if sign_part not in ("", "+", "-") else (-1 if sign_part == "-" else 1)
         deg = 0 if t_part is None else (int(exp_part) if exp_part else 1)
         coeffs[deg] = coeffs.get(deg, 0) + coeff
+    if not coeffs:
+        raise IwalambdaError(f"empty polynomial: {text!r}")
     top = max(coeffs)
     return tuple(coeffs.get(k, 0) for k in range(top + 1))
 
@@ -276,6 +278,8 @@ def cmd_simulate(args) -> dict:
     n_min, n_max = args.n_min, args.n
     if n_max < n_min:
         raise IwalambdaError("--n must be at least --n-min")
+    if n_min < 0 or args.offset < 0:
+        raise IwalambdaError("--n-min and --offset must be nonnegative")
     table = level_order_table(spec, n_min, n_max, exponent_offset=args.offset)
     fit = fit_parameters(table, spec.ell) if len(table.entries) >= 4 else None
     checked = False
@@ -309,7 +313,10 @@ def cmd_simulate(args) -> dict:
 
 
 def cmd_ambig(args) -> dict:
-    data = AmbiguousInput(args.class_val, _int_list(args.ram), args.deg, args.unit_index)
+    try:
+        data = AmbiguousInput(args.class_val, _int_list(args.ram), args.deg, args.unit_index)
+    except ValueError as exc:
+        raise IwalambdaError(str(exc)) from exc
     return {
         "field": None,
         "input": {"h": data.h, "ram": list(data.ram), "deg": data.deg, "unit_index": data.unit_index},
@@ -435,6 +442,10 @@ def main(argv=None) -> int:
             else:
                 argv.extend([flag, value])
     try:
+        # argparse reads '--flag=--' as an empty list, not as the value '--'
+        for a in argv:
+            if a.startswith("--") and a.endswith("=--"):
+                raise IwalambdaError(f"missing value: {a!r}")
         args = parser.parse_args(argv)
         payload = args.fn(args)
         payload["schema"] = SCHEMA

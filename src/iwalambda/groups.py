@@ -143,6 +143,12 @@ class Subgroup:
             self._structure = _subgroup_structure(self)
         return self._structure
 
+    def quotient(self) -> "Quotient":
+        """parent/self with its projection, reduced on first use and kept."""
+        if not hasattr(self, "_quotient"):
+            self._quotient = quotient(self.parent, self)
+        return self._quotient
+
 
 def subgroup_generated(G: FiniteAbelianGroup, gens) -> Subgroup:
     """Smallest subgroup containing gens, enumerated by closure."""

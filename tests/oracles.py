@@ -11,8 +11,9 @@ import itertools
 import math
 import random
 
+from iwalambda.characters import VirtualChar, all_abs_chars
 from iwalambda.cohomology import FiniteGammaModule, _mat_mul
-from iwalambda.groups import FiniteAbelianGroup
+from iwalambda.groups import FiniteAbelianGroup, Subgroup
 
 
 def valuation_by_division(x: int, ell: int) -> int:
@@ -86,6 +87,11 @@ def group_order_census(G: FiniteAbelianGroup) -> dict[int, int]:
         k = g.order()
         out[k] = out.get(k, 0) + 1
     return out
+
+
+def induce_trivial_by_scan(delta: FiniteAbelianGroup, D: Subgroup) -> VirtualChar:
+    """Every character of Delta that vanishes on every element of D, each once."""
+    return VirtualChar(delta, {chi: 1 for chi in all_abs_chars(delta) if chi.is_trivial_on(D.elements)})
 
 
 def tate_by_enumeration(M: FiniteGammaModule) -> tuple[int, int]:

@@ -1,6 +1,9 @@
+import math
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from iwalambda.characters import (
     IMAGINARY,
@@ -22,7 +25,27 @@ from iwalambda.characters import (
 )
 from iwalambda.errors import FieldError
 from iwalambda.fields import field_spec
-from iwalambda.groups import FiniteAbelianGroup, all_subgroups, full_subgroup, trivial_subgroup
+from iwalambda.groups import (
+    FiniteAbelianGroup,
+    Subgroup,
+    all_subgroups,
+    full_subgroup,
+    subgroup_generated,
+    trivial_subgroup,
+)
+from oracles import induce_trivial_by_scan
+
+
+@st.composite
+def invariant_chains(draw, max_order=24):
+    """Divisibility chains d_1 | d_2 | ... of rank <= 3 and order <= max_order."""
+    chain = []
+    for _ in range(draw(st.integers(0, 3))):
+        nxt = chain[-1] * draw(st.integers(1, 3)) if chain else draw(st.integers(2, 6))
+        if nxt * math.prod(chain) > max_order:
+            break
+        chain.append(nxt)
+    return tuple(chain)
 
 
 def stable_random_char(field, rng, lo=-3, hi=3):
@@ -177,6 +200,29 @@ class TestInduction:
                     res = restrict(v, D)
                     assert lhs == res.multiplicity(trivial_char(res.group))
                     assert lhs == (phi.degree if phi.rep.is_trivial_on(D.elements) else 0)
+
+
+    @given(invariant_chains())
+    def test_pullback_matches_kernel_scan(self, chain):
+        G = FiniteAbelianGroup(chain)
+        for D in all_subgroups(G):
+            ind = induce_trivial(G, D)
+            assert ind == induce_trivial_by_scan(G, D)
+            assert len(ind.support()) == G.order // D.order
+
+    def test_pullback_of_handbuilt_subgroup(self):
+        # no generators recorded: the quotient must come from the element list
+        G = FiniteAbelianGroup((2, 4))
+        ref = subgroup_generated(G, [(0, 1)])
+        D = Subgroup(G, [], ref.elements)
+        ind = induce_trivial(G, D)
+        assert ind == induce_trivial_by_scan(G, D)
+        assert sorted(chi.coeffs for chi in ind.support()) == [(0, 0), (1, 0)]
+
+    def test_other_group_rejected(self):
+        G = FiniteAbelianGroup((2, 4))
+        with pytest.raises(ValueError, match="different group"):
+            induce_trivial(FiniteAbelianGroup((8,)), full_subgroup(G))
 
 
 class TestRestrict:

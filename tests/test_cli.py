@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 import resource
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from iwalambda.cli import main, parse_poly
 
@@ -222,6 +226,67 @@ class TestMalformedIntegerLists:
         assert "Traceback" not in err
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: not a comma list of integers")
+
+
+class TestOutOfRangeArguments:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("simulate", "--ell", "3", "--poly=", "--n", "3"), "empty polynomial: ''"),
+            (("simulate", "--ell", "3", "--poly", "+", "--n", "3"), "empty polynomial: '+'"),
+            (("simulate", "--ell", "3", "--mu", "1", "--n-min", "-1", "--n", "3"), "must be nonnegative"),
+            (("simulate", "--ell", "3", "--mu", "1", "--offset", "-5", "--n", "3"), "must be nonnegative"),
+            (("ambig", "--class-val", "-1", "--deg", "-3"), "valuations must be nonnegative"),
+            (("simulate", "--ell", "3", "--poly=--", "--n", "3"), "missing value: '--poly=--'"),
+        ],
+    )
+    def test_exit_1_with_one_error_line(self, argv, message):
+        rc, out, err = run_cli(*argv)
+        assert rc == 1 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0]
+
+
+def run_inprocess(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    return rc, out.getvalue(), err.getvalue()
+
+
+def assert_contract(argv):
+    """Exit 0 with JSON carrying the schema, or 1..5 with one error line."""
+    rc, out, err = run_inprocess(argv)
+    if rc == 0:
+        assert json.loads(out)["schema"] == "iwalambda/1", argv
+    else:
+        assert 1 <= rc <= 5 and out == "", (argv, rc)
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), (argv, err)
+
+
+small = st.integers(-2, 4)
+
+
+class TestArgvContract:
+    @given(
+        ell=st.sampled_from([2, 3, 4, 5]),
+        rho=st.integers(-1, 2),
+        polys=st.lists(st.text("T^+-0123", max_size=6), max_size=2),
+        n=small,
+        n_min=small,
+        offset=st.integers(-2, 3),
+    )
+    def test_simulate(self, ell, rho, polys, n, n_min, offset):
+        argv = ["simulate", f"--ell={ell}", f"--rho={rho}", f"--n={n}", f"--n-min={n_min}",
+                f"--offset={offset}", *(f"--poly={f}" for f in polys)]
+        assert_contract(argv)
+
+    @given(class_val=small, ram=st.lists(small, max_size=3), deg=small, unit_index=small)
+    def test_ambig(self, class_val, ram, deg, unit_index):
+        ram_text = ",".join(map(str, ram))
+        assert_contract(["ambig", f"--class-val={class_val}", f"--ram={ram_text}", f"--deg={deg}",
+                         f"--unit-index={unit_index}"])
 
 
 class TestConfigAndFormats:
