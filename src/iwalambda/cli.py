@@ -4,9 +4,12 @@ Field inputs come from flags or a flat key=value config file (flags win).
 JSON output is byte-identical across runs for identical inputs: keys are
 sorted, characters are labeled by canonical orbit representative ("one"
 and "omega" for the unit and Teichmueller characters), and no timestamps
-enter the payload.  Exit codes: 1 malformed argument or failed internal
-check, 2 invalid field, 3 invalid prime set, 4 scale exceeded,
-5 inconsistent data.
+enter the payload.  Exit codes: 0 success (and --help), 1 malformed
+argument (a missing required flag, a non-integer value, a bad choice, an
+unknown subcommand or flag, a malformed list) or failed internal check,
+2 invalid field, 3 invalid prime set, 4 scale exceeded, 5 inconsistent
+data.  A failure writes one line to stderr and nothing to stdout:
+"error: ...", or "internal check failed: ..." for a failed check.
 """
 
 from __future__ import annotations
@@ -216,12 +219,12 @@ def cmd_lambda(args) -> dict:
     if parity == "real":
         expr = lambda_shift_real(field, S)
     elif parity == "imaginary":
-        if not S:
+        expr = lambda_shift_imaginary(field, S)
+        if not S:  # after the checks, so a rejected input gets one error line only
             sys.stderr.write(
                 "warning: the imaginary shift formula evaluated at S = {} is the literal "
                 "out-of-range value (shift -omega); the baseline has no shift\n"
             )
-        expr = lambda_shift_imaginary(field, S)
     else:
         expr = lambda_wild(field, S)
     checked = False
@@ -345,6 +348,15 @@ def cmd_cohomology(args) -> dict:
 # ---------------------------------------------------------------------------
 # argument plumbing
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1 with one "error:" line through main, not with
+    argparse's usage block and exit 2 (the code of an invalid field);
+    add_subparsers builds the subcommand parsers from this class too."""
+
+    def error(self, message):
+        raise IwalambdaError(message)
+
+
 def _add_field_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--ell", type=int, required=True, help="odd prime ell")
     p.add_argument("--conductor", type=int, required=True, help="cyclotomic conductor m (ell | m)")
@@ -358,7 +370,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="iwalambda", description=__doc__)
+    parser = _Parser(prog="iwalambda", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("chars", help="list the ell-adic irreducible characters")

@@ -28,8 +28,8 @@ class FieldSpec:
             raise FieldError("conductor must be divisible by ell")
         self.ell = ell
         self.conductor = conductor
+        self.units = unit_group(conductor)  # rejects m < 2 before any residue mod m
         self.subgroup_gens = tuple(sorted(int(h) % conductor for h in subgroup_gens))
-        self.units = unit_group(conductor)
         try:
             gens = [self.units.dlog(h) for h in self.subgroup_gens]
         except ValueError as exc:

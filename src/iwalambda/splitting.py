@@ -11,7 +11,7 @@ oracle keeps that formula honest.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .characters import VirtualChar, induce_trivial
 from .errors import PrimeSetError, ScaleError
@@ -36,6 +36,12 @@ class PrimeLocalData:
     frobenius: GroupElement
     n_p: int
     weight: int
+
+    @cached_property
+    def induced_trivial(self) -> VirtualChar:
+        """Ind_{Delta_p}^{Delta} 1, built on first use and kept on this
+        object, which decomposition_data caches per (field, p)."""
+        return induce_trivial(self.decomposition.parent, self.decomposition)
 
 
 def splitting_exponent(ell: int, p: int) -> int:
@@ -126,8 +132,7 @@ def chi_p(field: FieldSpec, p: int) -> VirtualChar:
     """Induction of the trivial character of Delta_p, weighted by the
     splitting index ell^{n_p} (weight 1 for the wild prime)."""
     data = decomposition_data(field, p)
-    weight = 1 if p == field.ell else field.ell**data.n_p
-    return weight * induce_trivial(field.delta, data.decomposition)
+    return data.weight * data.induced_trivial
 
 
 def chi_S(field: FieldSpec, S) -> VirtualChar:

@@ -16,6 +16,11 @@ from iwalambda.cohomology import FiniteGammaModule, _mat_mul
 from iwalambda.groups import FiniteAbelianGroup, Subgroup
 
 
+# (ell, conductor, subgroup generators) of the fields the seeded property
+# tests sample: |Delta| from 4 to 80, two values of ell, one proper H
+PROPERTY_FIELDS = ((3, 15, ()), (3, 33, ()), (3, 15, (4,)), (5, 35, ()), (3, 165, ()))
+
+
 def valuation_by_division(x: int, ell: int) -> int:
     x = abs(x)
     k = 0

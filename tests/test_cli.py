@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from iwalambda.cli import main, parse_poly
+from oracles import primes_below
 
 
 def run_cli(*args):
@@ -138,6 +139,14 @@ class TestLambda:
         assert rc == 0 and "warning" in err
         assert json.loads(out)["result"]["shift"] == {"omega": -1}
 
+    def test_imaginary_empty_on_rejected_field_gives_only_the_error(self):
+        # the S = {} warning waits for the field checks
+        rc, out, err = run_cli(
+            "lambda", "--ell", "5", "--conductor", "5", "--subgroup", "4", "--primes", "", "--parity", "imaginary"
+        )
+        assert rc == 2 and out == ""
+        assert err == "error: field does not contain ell-th roots of unity\n"
+
     def test_wild_needs_ell(self):
         rc, _, _ = run_cli("lambda", "--ell", "3", "--conductor", "3", "--primes", "7", "--parity", "wild")
         assert rc == 3
@@ -263,12 +272,60 @@ def assert_contract(argv):
         assert 1 <= rc <= 5 and out == "", (argv, rc)
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), (argv, err)
+    return rc, err
 
 
 small = st.integers(-2, 4)
+field_args = st.tuples(
+    st.sampled_from([2, 3, 5, 7]),
+    st.sampled_from([0, 3, 5, 7, 9, 14, 15, 21, 33, 35]),
+    st.sampled_from(["", "4", "2", "-1", "4,11", "x"]),
+).map(lambda f: [f"--ell={f[0]}", f"--conductor={f[1]}", f"--subgroup={f[2]}"])
+prime_lists = st.lists(st.sampled_from([*map(str, primes_below(60)), "x", "0", "1", "-7", "9", ""]),
+                       max_size=4).map(",".join)
+verify = st.sampled_from([[], ["--verify"]])
 
 
 class TestArgvContract:
+    @given(field=field_args)
+    def test_chars(self, field):
+        assert_contract(["chars", *field])
+
+    @given(field=field_args, primes=prime_lists, check=verify)
+    def test_defect(self, field, primes, check):
+        assert_contract(["defect", *field, f"--primes={primes}", *check])
+
+    @given(field=field_args, primes=prime_lists, parity=st.sampled_from(["real", "imaginary", "wild"]),
+           check=verify)
+    def test_lambda(self, field, primes, parity, check):
+        assert_contract(["lambda", *field, f"--primes={primes}", f"--parity={parity}", *check])
+
+    @given(field=field_args, s=prime_lists, t=prime_lists, check=verify)
+    def test_reflect(self, field, s, t, check):
+        assert_contract(["reflect", *field, f"--S={s}", f"--T={t}", *check])
+
+    @given(factors=st.lists(st.integers(-1, 9), max_size=3), sigma=st.text("0123456789,;", max_size=10),
+           order=st.integers(-1, 5))
+    def test_cohomology(self, factors, sigma, order):
+        factors_text = ",".join(map(str, factors))
+        assert_contract(["cohomology", f"--factors={factors_text}", f"--sigma={sigma}", f"--order={order}"])
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["defect", "--ell", "3"], "the following arguments are required: --conductor"),
+            (["simulate", "--ell", "3", "--n", "x"], "argument --n: invalid int value: 'x'"),
+            (["lambda", "--ell", "3", "--conductor", "3", "--parity", "even"],
+             "argument --parity: invalid choice: 'even'"),
+            (["frobenius", "--ell", "3"], "argument command: invalid choice: 'frobenius'"),
+            ([], "the following arguments are required: command"),
+            (["chars", "--ell", "3", "--conductor", "3", "--bogus"], "unrecognized arguments: --bogus"),
+        ],
+    )
+    def test_usage_errors(self, argv, message):
+        rc, err = assert_contract(argv)
+        assert rc == 1 and err.startswith(f"error: {message}")
+
     @given(
         ell=st.sampled_from([2, 3, 4, 5]),
         rho=st.integers(-1, 2),
@@ -287,6 +344,19 @@ class TestArgvContract:
         ram_text = ",".join(map(str, ram))
         assert_contract(["ambig", f"--class-val={class_val}", f"--ram={ram_text}", f"--deg={deg}",
                          f"--unit-index={unit_index}"])
+
+
+class TestUsageErrors:
+    def test_usage_error_exits_1_with_one_line(self):
+        rc, out, err = run_cli("defect", "--ell", "3")
+        assert rc == 1 and out == ""
+        assert err == "error: the following arguments are required: --conductor\n"
+
+    @pytest.mark.parametrize("argv", [("--help",), ("defect", "--help")])
+    def test_help_exits_0(self, argv):
+        rc, out, err = run_cli(*argv)
+        assert rc == 0 and err == ""
+        assert out.startswith("usage: iwalambda")
 
 
 class TestConfigAndFormats:
@@ -351,6 +421,11 @@ class TestFieldInputs:
         for m in ("0", "-3"):
             rc, _, err = run_cli("chars", "--ell", "3", "--conductor", m)
             assert rc == 2 and err == "error: conductor must be at least 2\n"
+
+    def test_conductor_below_two_with_subgroup(self):
+        # the residues of H are not reduced mod 0
+        rc, out, err = run_cli("chars", "--ell", "3", "--conductor", "0", "--subgroup", "4")
+        assert rc == 2 and out == "" and err == "error: conductor must be at least 2\n"
 
     def test_conductor_not_divisible(self):
         rc, _, err = run_cli("chars", "--ell", "3", "--conductor", "10")

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iwalambda.cohomology import (
     AmbiguousInput,
@@ -51,6 +53,12 @@ class TestTate:
         for _ in range(120):
             M = random_gamma_module(rng)
             assert (tate_h0(M), tate_h1(M)) == tate_by_enumeration(M)
+
+    @settings(derandomize=True, max_examples=150)
+    @given(st.randoms(use_true_random=False))
+    def test_matches_enumeration_seeded(self, rng):
+        M = random_gamma_module(rng)
+        assert (tate_h0(M), tate_h1(M)) == tate_by_enumeration(M)
 
 
 class TestHerbrand:

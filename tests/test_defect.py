@@ -2,9 +2,12 @@ import itertools
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from iwalambda.characters import VirtualChar, inner_product, parity_split, teichmuller, trivial_char
 from iwalambda.defect import (
+    ORACLE_LEVEL_CAP,
     BaseSymbol,
     CaseTag,
     LambdaExpr,
@@ -24,7 +27,7 @@ from iwalambda.defect import (
 from iwalambda.errors import PrimeSetError, ScaleError
 from iwalambda.fields import field_spec
 from iwalambda.splitting import decomposition_data, splitting_exponent
-from oracles import primes_below
+from oracles import PROPERTY_FIELDS, primes_below
 
 F3 = field_spec(3, 3)
 TEST_FIELDS = [field_spec(3, 3), field_spec(3, 15), field_spec(3, 33), field_spec(3, 15, (4,))]
@@ -76,6 +79,17 @@ class TestDefect:
                 assert defect_character(F, S) == defect_oracle(F, S), (m, gens, S)
             deep = (7, 13, 163)
             assert defect_character(F, deep) == defect_oracle(F, deep)
+
+    @settings(derandomize=True, max_examples=80)
+    @given(
+        st.sampled_from(PROPERTY_FIELDS),
+        st.lists(st.sampled_from(primes_below(200)), unique=True, max_size=3),
+    )
+    def test_matches_oracle_seeded(self, key, S):
+        F = field_spec(*key)
+        assume(F.ell not in S)
+        assume(max((splitting_exponent(F.ell, p) for p in S), default=0) <= ORACLE_LEVEL_CAP)
+        assert defect_character(F, S) == defect_oracle(F, S)
 
     def test_oracle_scale_cap(self):
         # 1459 = 2 * 729 + 1 has n_p = 5, past the oracle level cap

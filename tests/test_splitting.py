@@ -1,6 +1,11 @@
-import pytest
+from functools import lru_cache
 
-from iwalambda.characters import VirtualChar, all_abs_chars
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from iwalambda import splitting
+from iwalambda.characters import VirtualChar, all_abs_chars, induce_trivial
 from iwalambda.errors import PrimeSetError, ScaleError
 from iwalambda.fields import field_spec
 from iwalambda.groups import subgroup_generated
@@ -11,7 +16,7 @@ from iwalambda.splitting import (
     splitting_exponent,
     splitting_exponent_oracle,
 )
-from oracles import primes_below
+from oracles import PROPERTY_FIELDS, induce_trivial_by_scan, primes_below
 
 
 class TestDecomposition:
@@ -81,6 +86,12 @@ class TestSplittingExponent:
                 if p != ell:
                     assert splitting_exponent(ell, p) == splitting_exponent_oracle(ell, p), (ell, p)
 
+    @settings(derandomize=True, max_examples=150)
+    @given(st.sampled_from([3, 5, 7]), st.sampled_from(primes_below(1000)))
+    def test_closed_form_equals_place_count_seeded(self, ell, p):
+        assume(p != ell)
+        assert splitting_exponent(ell, p) == splitting_exponent_oracle(ell, p)
+
 
 class TestChiS:
     def test_inert_gives_one(self):
@@ -126,6 +137,41 @@ class TestChiS:
         F = field_spec(3, 3)
         assert chi_S(F, [3]) == VirtualChar.one(F.delta)
         assert chi_S(F, [3, 2]) == 2 * VirtualChar.one(F.delta)
+
+
+class TestInducedTrivialCache:
+    @given(st.sampled_from(PROPERTY_FIELDS), st.sampled_from(primes_below(100)))
+    def test_cached_induction_matches_scan(self, key, p):
+        F = field_spec(*key)
+        data = decomposition_data(F, p)
+        scan = induce_trivial_by_scan(F.delta, data.decomposition)
+        assert data.induced_trivial == scan
+        assert decomposition_data(F, p).induced_trivial is data.induced_trivial
+        assert chi_p(F, p) == data.weight * scan
+        # arithmetic on chi_p's result never writes through to the cache
+        x = chi_p(F, p)
+        assert x is not data.induced_trivial
+        x += chi_p(F, p)
+        x += VirtualChar.one(F.delta)
+        assert -x + 2 * chi_S(F, [p]) == -VirtualChar.one(F.delta)
+        assert data.induced_trivial == scan
+        assert chi_p(F, p) == data.weight * scan
+
+    def test_chi_p_builds_the_induction_once_per_prime(self, monkeypatch):
+        calls = []
+
+        def counting(delta, D):
+            calls.append(D)
+            return induce_trivial(delta, D)
+
+        fresh = lru_cache(maxsize=None)(decomposition_data.__wrapped__)
+        monkeypatch.setattr(splitting, "decomposition_data", fresh)
+        monkeypatch.setattr(splitting, "induce_trivial", counting)
+        F = field_spec(3, 15)
+        for _ in range(5):
+            chi_p(F, 2)
+            chi_S(F, [2, 7, 13])
+        assert len(calls) == 3
 
 
 class TestFieldValidation:
