@@ -132,16 +132,20 @@ def _validate_tame(field: FieldSpec, S) -> tuple[int, ...]:
 def s_phi(field: FieldSpec, S, phi: LadicChar) -> tuple[int, ...]:
     """The primes of S whose full decomposition subgroup dies in phi.
 
-    Orbit members share kernels (ell is prime to |Delta|), so testing the
-    canonical representative suffices.
+    A character dies on Delta_p exactly when it occurs in Ind_{Delta_p} 1,
+    which decomposition_data keeps per (field, p), so this reads one
+    multiplicity per prime.  Orbit members share kernels (ell is prime to
+    |Delta|), so the canonical representative decides for the orbit.
     """
     S = _validate_tame(field, S)
-    out = []
-    for p in S:
-        data = decomposition_data(field, p)
-        if phi.rep.is_trivial_on(data.decomposition.elements):
-            out.append(p)
-    return tuple(out)
+    if S and phi.group != field.delta:
+        raise ValueError("element of a different group")
+    return _s_phi(field, S, phi)
+
+
+def _s_phi(field: FieldSpec, S: tuple[int, ...], phi: LadicChar) -> tuple[int, ...]:
+    """s_phi for an S already validated and a phi of field.delta."""
+    return tuple(p for p in S if decomposition_data(field, p).induced_trivial.multiplicity(phi.rep))
 
 
 def defect_character(field: FieldSpec, S) -> VirtualChar:
@@ -155,7 +159,7 @@ def defect_character(field: FieldSpec, S) -> VirtualChar:
     S = _validate_tame(field, S)
     result = VirtualChar.zero(field.delta)
     for phi in imaginary_chars_of(field):
-        primes = s_phi(field, S, phi)
+        primes = _s_phi(field, S, phi)
         if primes:
             weight = field.ell ** max(decomposition_data(field, p).n_p for p in primes)
             result = result + weight * VirtualChar.from_ladic(phi)
@@ -230,7 +234,7 @@ def lambda_shift_real(field: FieldSpec, S) -> LambdaExpr:
     S = _validate_tame(field, S)
     shift = VirtualChar.zero(field.delta)
     for phi in imaginary_chars_of(field):
-        primes = s_phi(field, S, phi)
+        primes = _s_phi(field, S, phi)
         if len(primes) > 1:
             ws = [field.ell ** decomposition_data(field, p).n_p for p in primes]
             coeff = sum(ws) - max(ws)

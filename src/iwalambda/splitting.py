@@ -121,7 +121,8 @@ def decomposition_data(field: FieldSpec, p: int) -> PrimeLocalData:
 def validate_prime_set(S) -> tuple[int, ...]:
     S = tuple(S)
     if len(set(S)) != len(S):
-        raise PrimeSetError("S must be a set")
+        repeated = next(p for i, p in enumerate(S) if p in S[:i])
+        raise PrimeSetError(f"{repeated} is repeated: a prime list must be a set")
     for p in S:
         if not is_prime(p):
             raise PrimeSetError(f"{p} is not prime")

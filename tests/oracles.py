@@ -14,6 +14,7 @@ import random
 from iwalambda.characters import VirtualChar, all_abs_chars
 from iwalambda.cohomology import FiniteGammaModule, _mat_mul
 from iwalambda.groups import FiniteAbelianGroup, Subgroup
+from iwalambda.splitting import decomposition_data
 
 
 # (ell, conductor, subgroup generators) of the fields the seeded property
@@ -97,6 +98,14 @@ def group_order_census(G: FiniteAbelianGroup) -> dict[int, int]:
 def induce_trivial_by_scan(delta: FiniteAbelianGroup, D: Subgroup) -> VirtualChar:
     """Every character of Delta that vanishes on every element of D, each once."""
     return VirtualChar(delta, {chi: 1 for chi in all_abs_chars(delta) if chi.is_trivial_on(D.elements)})
+
+
+def s_phi_by_scan(field, S, phi) -> tuple[int, ...]:
+    """The primes of S, ascending, at which phi's representative vanishes
+    on every element of the decomposition subgroup."""
+    return tuple(
+        p for p in sorted(S) if phi.rep.is_trivial_on(decomposition_data(field, p).decomposition.elements)
+    )
 
 
 def tate_by_enumeration(M: FiniteGammaModule) -> tuple[int, int]:

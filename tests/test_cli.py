@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import resource
@@ -169,6 +170,11 @@ class TestReflect:
     def test_bad_hypotheses(self):
         rc, _, _ = run_cli("reflect", "--ell", "3", "--conductor", "3", "--S", "7", "--T", "13")
         assert rc == 3
+
+    def test_duplicate_in_T_names_the_prime(self):
+        rc, out, err = run_cli("reflect", "--ell", "3", "--conductor", "15", "--S", "3", "--T", "7,7")
+        assert rc == 3 and out == ""
+        assert err == "error: 7 is repeated: a prime list must be a set\n"
 
 
 class TestSimulate:
@@ -402,6 +408,54 @@ class TestDeterminism:
             rc2, out2, _ = run_cli(*cmd)
             assert rc1 == rc2 == 0, cmd
             assert out1 == out2, cmd
+
+
+# (argv, exit code, sha256 of stdout), recorded before S_phi became a lookup
+# in Ind_{D_p} 1; every subcommand, --verify on and off, the mid-size
+# conductor 2805 and the large field 98403 with H = <93484>
+PINNED_OUTPUT = [
+    ("chars --ell 3 --conductor 15", 0, "fb5581021eae0e413bf41b92b7934423f0d5533dbb2d89a7ed274a5da1d5a895"),
+    ("chars --ell 3 --conductor 165 --format table", 0, "c54d1e5cd54b09294196a18e560780a5da938ce9cab445749644d45e282036d3"),
+    ("chars --ell 5 --conductor 35", 0, "3799ab09694207734e6ff675a6cb55ac3a097d6948f1fd5f537d5c6996aceea6"),
+    ("chars --ell 3 --conductor 15 --subgroup 4", 0, "2db7cc3fad0ef1c6d1105ba6d1e8f77f43f7eb3ad63137ad6f7023dd2f073f9d"),
+    ("chars --ell 3 --conductor 2805", 0, "72b737268749a0abdf640a938f3446e8b9329b8fa21ec9804cbd9b98666818c0"),
+    ("chars --ell 3 --conductor 98403 --subgroup 93484", 0, "ff6a7cb0264f9a876e1d1fc828cb378c4eba868ad6322a70919ab498198477e8"),
+    ("defect --ell 3 --conductor 3 --primes 7,13 --verify", 0, "b0fc0d4d8f8e12d43e57f0bc68e3330fa67b85c7adac22aff55cb9059fc52ffc"),
+    ("defect --ell 3 --conductor 15 --primes 2,7,17", 0, "f859e078e5c2331ac464b65504fc14279097a30a375853bdbb544ba732c4e132"),
+    ("defect --ell 3 --conductor 165 --primes 7,13,19 --verify", 0, "5c9044e1fa4331b9745b36fe296d803591ef4ce75756d507e08b6117ab5fe31f"),
+    ("defect --ell 5 --conductor 35 --primes 11,31,41", 0, "4e2621d7ac8a8f269da80fb7ceff342535c93afe6bea3fbba34c4676321793e1"),
+    ("defect --ell 3 --conductor 2805 --primes 7,13 --verify", 0, "9778eda325fa8c5375c937c80a23d3e78490293bcd55393ef5bc87a43f0e52fb"),
+    ("defect --ell 3 --conductor 98403 --subgroup 93484 --primes 7,13 --verify", 0, "94f4ed245e74a884f5b92a0ff815ba8d5316d620b2a04e7f777f04ee6884daf6"),
+    ("lambda --ell 3 --conductor 3 --primes 7,13 --parity real --verify", 0, "b199c7c2522bdcf6e1bbfcabe8a945a28c739980bdf9a2a97053d2d7964eedd2"),
+    ("lambda --ell 3 --conductor 15 --primes 2,7 --parity imaginary", 0, "db44295ada69efc6e7e33c644b22058c5a05cefb9189c2877e8b867f65dcb4d6"),
+    ("lambda --ell 3 --conductor 33 --primes 3,7 --parity wild --verify", 0, "2c71c238fa73c1b5294dca16675dfffce99c58ee9ac12582b3e09ee3a5f92d31"),
+    ("lambda --ell 3 --conductor 2805 --primes 7,13,19 --parity real", 0, "3ba02eeeadaeb7b8fa9eaa213f1bdded3af9d8e167172377721d0ba9f226e658"),
+    ("lambda --ell 3 --conductor 3 --primes= --parity imaginary", 0, "fa338ef1f8ed99487350824210c9f7e1e1adda769dff621fb38165ee3b0737c4"),
+    ("reflect --ell 3 --conductor 3 --S 3 --T=", 0, "c2b7ada1a66067bc845661bd0e25f350f1185020f34092df89884863184a7803"),
+    ("reflect --ell 3 --conductor 15 --S 3,2 --T 7,13 --verify", 0, "9823f348a08fcdffda290435f78df7d9fa213bcbc459d63d7945f01f7f143afc"),
+    ("reflect --ell 3 --conductor 165 --S 7,13 --T 3,19", 0, "78cb6c255c1707214a9e20df93596f2b11391c20bd410cc3420bb8ba9b632214"),
+    ("reflect --ell 5 --conductor 35 --S 5 --T 11,31 --verify", 0, "8505ed1aa89c2f13418acd545fb3b03e1c8f78f48c0d399da58873e61bd91bb3"),
+    ("reflect --ell 3 --conductor 98403 --subgroup 93484 --S 3,7 --T 13", 0, "fbffbf4d01b57261682d5443012c24439224f0591fce45fdbf0f8385a109a15b"),
+    ("simulate --ell 3 --rho 1 --poly T^2+3T --mu 1 --n 4 --n-min 1", 0, "8b1fa750c0180b019440e560fa2386c16b8c2149470fa7f3ca171446750759fe"),
+    ("simulate --ell 3 --poly T+3 --n 3 --verify", 0, "ef4883ca2149073b37085b6cdf85c73b0eb138e2a38b7b78e4e51f108729cfd6"),
+    ("simulate --ell 5 --poly T^2+5 --n 2 --offset 1 --verify", 0, "72bf1a8236433df1e6d5edc14919841f84776755b50e7e16c6c15ebacd5e1d00"),
+    ("ambig --class-val 1 --ram 1,1 --deg 1 --unit-index 1", 0, "bb774e950dd7fc551127b981d3a5faf1b2be6596d82de20f75f9622b3a3a545d"),
+    ("ambig --class-val 3 --ram 0,2,1 --deg 2", 0, "3ebbb7d3b3ebdf43d3ee50785df7107549d89ac7617d0332d2f8dc7308cea4ca"),
+    ("cohomology --factors 3,9 --sigma=2,0;0,4 --order 6", 0, "3ee43a11c196bcac237e0d5b739d0a5976f57660f3453709e79e1953e2259d97"),
+    ("cohomology --factors 9 --sigma 4 --order 3 --verify", 0, "bc7f217b83d597b0acc9db64c3066fe909d2b82fe56763989e7d3bc66152b364"),
+    ("defect --ell 3 --conductor 15 --primes 7,7", 3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("reflect --ell 3 --conductor 33 --S 7 --T 2", 3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("chars --ell 3 --conductor 14", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("chars --ell 3 --conductor 120003", 4, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("simulate --ell 3 --poly T+3 --n 9", 4, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+]
+
+
+class TestPinnedOutput:
+    @pytest.mark.parametrize("argv, code, digest", PINNED_OUTPUT, ids=[a for a, _, _ in PINNED_OUTPUT])
+    def test_stdout_bytes(self, argv, code, digest):
+        rc, out, _ = run_inprocess(argv.split(" "))
+        assert (rc, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
 
 
 class TestFieldInputs:

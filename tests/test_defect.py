@@ -16,6 +16,7 @@ from iwalambda.defect import (
     imaginary_chars_of,
     imo_lambda,
     kappa,
+    ladic_chars_of,
     lambda_shift_imaginary,
     lambda_shift_real,
     lambda_wild,
@@ -26,8 +27,8 @@ from iwalambda.defect import (
 )
 from iwalambda.errors import PrimeSetError, ScaleError
 from iwalambda.fields import field_spec
-from iwalambda.splitting import decomposition_data, splitting_exponent
-from oracles import PROPERTY_FIELDS, primes_below
+from iwalambda.splitting import chi_S, decomposition_data, splitting_exponent
+from oracles import PROPERTY_FIELDS, primes_below, s_phi_by_scan
 
 F3 = field_spec(3, 3)
 TEST_FIELDS = [field_spec(3, 3), field_spec(3, 15), field_spec(3, 33), field_spec(3, 15, (4,))]
@@ -47,6 +48,64 @@ class TestSPhi:
     def test_wild_rejected(self):
         with pytest.raises(PrimeSetError, match="tame"):
             s_phi(F3, [3, 7], teichmuller(F3))
+
+    @given(
+        st.sampled_from(PROPERTY_FIELDS),
+        st.lists(st.sampled_from(primes_below(100)), unique=True, max_size=4),
+    )
+    def test_lookup_matches_scan(self, key, S):
+        F = field_spec(*key)
+        assume(F.ell not in S)
+        for phi in ladic_chars_of(F):
+            assert s_phi(F, S, phi) == s_phi_by_scan(F, S, phi), (key, S, phi.rep.coeffs)
+
+    def test_phi_of_another_field_rejected(self):
+        F15, F33 = field_spec(3, 15), field_spec(3, 33)
+        assert F15.delta != F33.delta
+        with pytest.raises(ValueError, match="element of a different group"):
+            s_phi(F15, [7], ladic_chars_of(F33)[1])
+
+
+F15 = field_spec(3, 15)
+PHI15 = imaginary_chars_of(F15)[0]
+# each public entry point that takes a prime set, fed the raw list S; the
+# wild prime 3 is added where the entry point needs it in S
+PRIME_SET_ENTRY_POINTS = {
+    "s_phi": lambda S: s_phi(F15, S, PHI15),
+    "defect_character": lambda S: defect_character(F15, S),
+    "defect_oracle": lambda S: defect_oracle(F15, S),
+    "lambda_shift_real": lambda S: lambda_shift_real(F15, S),
+    "lambda_shift_imaginary": lambda S: lambda_shift_imaginary(F15, S),
+    "lambda_wild": lambda S: lambda_wild(F15, [3, *S]),
+    "chi_S": lambda S: chi_S(F15, S),
+    "kappa_S": lambda S: kappa(F15, [3, *S], []),
+    "kappa_T": lambda S: kappa(F15, [3], S),
+    "reflection_check_S": lambda S: reflection_check(F15, [3, *S], []),
+    "reflection_check_T": lambda S: reflection_check(F15, [3], S),
+    "imo_lambda": lambda S: imo_lambda(3, S),
+}
+TAME_ENTRY_POINTS = (
+    "s_phi", "defect_character", "defect_oracle", "lambda_shift_real", "lambda_shift_imaginary", "imo_lambda",
+)
+
+
+class TestPrimeSetValidation:
+    """Every entry point validates the raw list it is given, whatever it
+    passes on internally."""
+
+    @pytest.mark.parametrize("entry", sorted(PRIME_SET_ENTRY_POINTS))
+    @pytest.mark.parametrize(
+        "S, message",
+        [([7, 13, 7], "7 is repeated: a prime list must be a set"), ([7, 9], "9 is not prime"), ([1], "1 is not prime")],
+    )
+    def test_raw_list_rejected(self, entry, S, message):
+        with pytest.raises(PrimeSetError, match=message):
+            PRIME_SET_ENTRY_POINTS[entry](S)
+
+    @pytest.mark.parametrize("entry", TAME_ENTRY_POINTS)
+    def test_tame_entry_rejects_ell(self, entry):
+        with pytest.raises(PrimeSetError, match="tame"):
+            PRIME_SET_ENTRY_POINTS[entry]([7, 3])
 
 
 class TestDefect:
