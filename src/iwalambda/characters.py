@@ -11,10 +11,10 @@ they come from the operations here.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import FieldError
+from .exact import Record
 from .fields import FieldSpec
 from .groups import FiniteAbelianGroup, GroupElement, Subgroup
 
@@ -22,21 +22,30 @@ REAL = "real"
 IMAGINARY = "imaginary"
 
 
-@dataclass(frozen=True)
-class AbsChar:
+class AbsChar(Record):
     """Absolutely irreducible character, as a coefficient vector.
 
     value_at(g) = sum_i coeffs[i] * g[i] * (e / d_i) in Z/e, which makes
     the map coeffs -> character an isomorphism from the group to its dual.
     """
 
-    group: FiniteAbelianGroup
-    coeffs: tuple[int, ...]
+    __slots__ = ("group", "coeffs")
 
-    def __post_init__(self) -> None:
-        d = self.group.invariant_factors
-        if len(self.coeffs) != len(d) or any(not 0 <= c < di for c, di in zip(self.coeffs, d)):
+    def __init__(self, group: FiniteAbelianGroup, coeffs: tuple[int, ...]):
+        d = group.invariant_factors
+        if len(coeffs) != len(d) or any(not 0 <= c < di for c, di in zip(coeffs, d)):
             raise ValueError("character coefficients out of range")
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "coeffs", coeffs)
+
+    # explicit one-frame equality and hash, as for GroupElement
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.group, self.coeffs) == (other.group, other.coeffs)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.group, self.coeffs))
 
     def value_at(self, g: GroupElement) -> int:
         if g.group != self.group:
@@ -83,14 +92,14 @@ def parity_of_value(val: int, exponent: int) -> str:
     raise FieldError("conjugation value is not +-1; tau_bar is not an involution")
 
 
-@dataclass(frozen=True)
-class LadicChar:
+class LadicChar(Record):
     """Frobenius orbit of absolute characters: one simple Z_ell[Delta] factor."""
 
-    group: FiniteAbelianGroup
-    ell: int
-    orbit: tuple[AbsChar, ...]
-    parity: str | None = None
+    __slots__ = ("group", "ell", "orbit", "parity")
+
+    def __init__(self, group: FiniteAbelianGroup, ell: int, orbit: tuple[AbsChar, ...],
+                 parity: str | None = None):
+        self._set_fields(group, ell, orbit, parity)
 
     @property
     def rep(self) -> AbsChar:

@@ -17,26 +17,26 @@ unit-norm index are inputs, never computed here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-
 from .errors import InconsistentDataError
-from .exact import identity_matrix, smith_normal_form
+from .exact import Record, identity_matrix, smith_normal_form
 from .groups import FiniteAbelianGroup, GroupElement, Subgroup, quotient, subgroup_generated
 
 
-@dataclass(frozen=True)
-class FiniteGammaModule:
+class FiniteGammaModule(Record):
     """Finite module with a cyclic action: sigma acts on coordinates.
 
     sigma must preserve the relation lattice (sigma[i][j] * d_j = 0 mod
     d_i), be invertible, and satisfy sigma^order_n = identity.
     """
 
-    module: FiniteAbelianGroup
-    sigma: tuple[tuple[int, ...], ...]
-    order_n: int
+    __slots__ = ("module", "sigma", "order_n")
 
+    def __init__(self, module: FiniteAbelianGroup, sigma: tuple[tuple[int, ...], ...], order_n: int):
+        self._set_fields(module, sigma, order_n)
+        self.__post_init__()
+
+    # looked up on the class at every construction, so the benchmark's
+    # tracer (perfbench/tracer.py) can time the check as its own span
     def __post_init__(self) -> None:
         object.__setattr__(self, "sigma", tuple(tuple(int(x) for x in row) for row in self.sigma))
         k = self.module.rank
@@ -142,8 +142,14 @@ def tate_h0(M: FiniteGammaModule) -> int:
     return ker_sigma // im_norm
 
 
-def herbrand_quotient(M: FiniteGammaModule) -> Fraction:
-    """|H^0-hat| / |H^1| as an exact rational; 1 for every finite module."""
+def herbrand_quotient(M: FiniteGammaModule) -> "Fraction":
+    """|H^0-hat| / |H^1| as an exact rational; 1 for every finite module.
+
+    fractions is imported here, on first call, and nowhere else: no other
+    layer needs it, and it costs every CLI process a few milliseconds.
+    """
+    from fractions import Fraction
+
     return Fraction(tate_h0(M), tate_h1(M))
 
 
@@ -190,8 +196,7 @@ def quotient_module(M: FiniteGammaModule, H: Subgroup) -> FiniteGammaModule:
 # ---------------------------------------------------------------------------
 # the ambiguous-class valuation formula
 
-@dataclass(frozen=True)
-class AmbiguousInput:
+class AmbiguousInput(Record):
     """ell-valuations feeding the invariant-class count.
 
     h: of the S-split class number of the base; ram: of the ramification
@@ -199,15 +204,13 @@ class AmbiguousInput:
     unit_index: of the unit-norm index.  All are given data.
     """
 
-    h: int
-    ram: tuple[int, ...]
-    deg: int
-    unit_index: int
+    __slots__ = ("h", "ram", "deg", "unit_index")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "ram", tuple(int(r) for r in self.ram))
-        if self.h < 0 or self.deg < 0 or self.unit_index < 0 or any(r < 0 for r in self.ram):
+    def __init__(self, h: int, ram: tuple[int, ...], deg: int, unit_index: int):
+        ram = tuple(int(r) for r in ram)
+        if h < 0 or deg < 0 or unit_index < 0 or any(r < 0 for r in ram):
             raise ValueError("valuations must be nonnegative")
+        self._set_fields(h, ram, deg, unit_index)
 
 
 def ambiguous_valuation(data: AmbiguousInput) -> int:

@@ -12,7 +12,6 @@ tower level where the S-places stop splitting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
@@ -60,15 +59,12 @@ class CaseTag(Enum):
     WILD_MIRROR = "wild_mirror"  # wild ramification with tame decomposition
 
 
-@dataclass
 class LambdaExpr:
     """Affine lambda prediction: integer base symbols + computed shift."""
 
-    base: dict[BaseSymbol, int]
-    shift: VirtualChar
-
-    def __post_init__(self) -> None:
-        self.base = {s: int(k) for s, k in self.base.items() if k != 0}
+    def __init__(self, base: dict[BaseSymbol, int], shift: VirtualChar):
+        self.base = {s: int(k) for s, k in base.items() if k != 0}
+        self.shift = shift
 
     def __add__(self, other):
         if isinstance(other, LambdaExpr):
@@ -277,10 +273,10 @@ def lambda_wild(field: FieldSpec, S) -> LambdaExpr:
 # ---------------------------------------------------------------------------
 # the defect in its three regimes, and the reflection identity
 
-@dataclass
 class KappaResult:
-    case: CaseTag
-    value: VirtualChar
+    def __init__(self, case: CaseTag, value: VirtualChar):
+        self.case = case
+        self.value = value
 
 
 def classify_case(field: FieldSpec, S, T) -> CaseTag:
@@ -329,13 +325,14 @@ def _lambda_expr_for(field: FieldSpec, ram, dec) -> LambdaExpr:
     return lambda_shift_real(field, ram) + lambda_shift_imaginary(field, ram)
 
 
-@dataclass
 class ReflectionReport:
-    holds: bool
-    lhs: LambdaExpr
-    rhs: LambdaExpr
-    case_lhs: CaseTag
-    case_rhs: CaseTag
+    def __init__(self, holds: bool, lhs: LambdaExpr, rhs: LambdaExpr, case_lhs: CaseTag,
+                 case_rhs: CaseTag):
+        self.holds = holds
+        self.lhs = lhs
+        self.rhs = rhs
+        self.case_lhs = case_lhs
+        self.case_rhs = case_rhs
 
 
 def reflection_check(field: FieldSpec, S, T) -> ReflectionReport:

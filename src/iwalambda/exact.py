@@ -3,13 +3,61 @@
 Everything here is arbitrary-precision integer arithmetic: valuations,
 multiplicative orders, CRT, factorization helpers, and Smith normal form
 over Z with its unimodular row transform and that transform's inverse.
-No floating point is used anywhere in the package.
+No floating point is used anywhere in the package.  Record is the
+immutable value type the other layers build on.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
+from operator import attrgetter
+
+
+# ---------------------------------------------------------------------------
+# immutable value records
+
+class Record:
+    """Immutable record whose fields are its __slots__, in declaration order.
+
+    A subclass lists its fields in __slots__ and sets them in its own
+    __init__ through _set_fields (or object.__setattr__); afterwards
+    assigning or deleting a field raises AttributeError.  Equality holds
+    only within one class and compares the field tuples, the hash is the
+    hash of that tuple (as a frozen dataclass's is), and pickle and copy
+    rebuild the record through __init__.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        get = attrgetter(*cls.__slots__)
+        cls._astuple = staticmethod(get if len(cls.__slots__) > 1 else lambda self: (get(self),))
+
+    def _set_fields(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of {type(self).__name__}")
+
+    def __reduce__(self):
+        return type(self), self._astuple(self)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._astuple(self) == other._astuple(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._astuple(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._astuple(self)))
+        return f"{type(self).__qualname__}({fields})"
 
 
 # ---------------------------------------------------------------------------
@@ -127,19 +175,17 @@ def crt(residues: list[int], moduli: list[int]) -> int:
 # ---------------------------------------------------------------------------
 # integer matrices and Smith normal form
 
-@dataclass(frozen=True)
-class IntMatrix:
+class IntMatrix(Record):
     """Dense integer matrix, row-major, exact entries."""
 
-    rows: int
-    cols: int
-    entries: tuple[tuple[int, ...], ...]
+    __slots__ = ("rows", "cols", "entries")
 
-    def __post_init__(self) -> None:
-        if self.rows < 0 or self.cols < 0:
+    def __init__(self, rows: int, cols: int, entries: tuple[tuple[int, ...], ...]):
+        if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        if len(self.entries) != self.rows or any(len(r) != self.cols for r in self.entries):
+        if len(entries) != rows or any(len(r) != cols for r in entries):
             raise ValueError("entry shape does not match declared dimensions")
+        self._set_fields(rows, cols, entries)
 
     @classmethod
     def from_rows(cls, rows: list[list[int]]) -> "IntMatrix":

@@ -10,26 +10,35 @@ section maps (both via Smith reduction of the relation lattice).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
 from .errors import FieldError, ScaleError
-from .exact import _snf_with_transform, crt, factorize
+from .exact import Record, _snf_with_transform, crt, factorize
 
 UNIT_GROUP_MODULUS_CAP = 10**5
 
 
-@dataclass(frozen=True)
-class FiniteAbelianGroup:
-    invariant_factors: tuple[int, ...]
+class FiniteAbelianGroup(Record):
+    __slots__ = ("invariant_factors",)
 
-    def __post_init__(self) -> None:
-        d = self.invariant_factors
+    def __init__(self, invariant_factors: tuple[int, ...]):
+        d = invariant_factors
         if any(x < 2 for x in d):
             raise ValueError("invariant factors must be >= 2")
         if any(d[i + 1] % d[i] != 0 for i in range(len(d) - 1)):
             raise ValueError("invariant factors must form a divisibility chain")
+        object.__setattr__(self, "invariant_factors", d)
+
+    # the group, element and character types compare on every hot path, so
+    # they spell out Record's equality and hash in one frame
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.invariant_factors == other.invariant_factors
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.invariant_factors,))
 
     @property
     def rank(self) -> int:
@@ -68,10 +77,20 @@ class FiniteAbelianGroup:
         return n
 
 
-@dataclass(frozen=True)
-class GroupElement:
-    group: FiniteAbelianGroup
-    coords: tuple[int, ...]
+class GroupElement(Record):
+    __slots__ = ("group", "coords")
+
+    def __init__(self, group: FiniteAbelianGroup, coords: tuple[int, ...]):
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "coords", coords)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.group, self.coords) == (other.group, other.coords)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.group, self.coords))
 
     def _check(self, other: "GroupElement") -> None:
         if self.group != other.group:
@@ -244,16 +263,17 @@ def _subgroup_structure(H: Subgroup):
     return T, to_parent, from_parent
 
 
-@dataclass
 class Quotient:
     """G/H in invariant-factor form with projection and an integral section."""
 
-    source: FiniteAbelianGroup
-    group: FiniteAbelianGroup
-    _U: list[list[int]]
-    _Uinv: list[list[int]]
-    _divisors: list[int]
-    _slots: list[int]
+    def __init__(self, source: FiniteAbelianGroup, group: FiniteAbelianGroup,
+                 U: list[list[int]], Uinv: list[list[int]], divisors: list[int], slots: list[int]):
+        self.source = source
+        self.group = group
+        self._U = U
+        self._Uinv = Uinv
+        self._divisors = divisors
+        self._slots = slots
 
     def project(self, g: GroupElement) -> GroupElement:
         if g.group != self.source:

@@ -17,21 +17,18 @@ stacked relation lattice) is exposed for cross-checking.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
 from math import comb
 
 from ._kernels import snf_mod_valuations
 from .errors import ScaleError
-from .exact import is_prime, smith_normal_form, valuation
+from .exact import Record, is_prime, smith_normal_form, valuation
 
 # Matrices are ell^n-dimensional; this cap admits 3^5 and 5^3 so that a
 # fit window in the stable regime exists for mu-exponents up to 2 at ell=3.
 MATRIX_DIM_CAP = 250
 
 
-@dataclass(frozen=True)
-class ElementaryModuleSpec:
+class ElementaryModuleSpec(Record):
     """rho free summands, distinguished polynomials, and ell-power exponents.
 
     Polynomials are coefficient tuples in ascending degree order, monic,
@@ -40,25 +37,24 @@ class ElementaryModuleSpec:
     caller's business).
     """
 
-    ell: int
-    rho: int = 0
-    polys: tuple[tuple[int, ...], ...] = ()
-    mus: tuple[int, ...] = ()
+    __slots__ = ("ell", "rho", "polys", "mus")
 
-    def __post_init__(self) -> None:
-        if self.ell == 2 or not is_prime(self.ell):
+    def __init__(self, ell: int, rho: int = 0, polys: tuple[tuple[int, ...], ...] = (),
+                 mus: tuple[int, ...] = ()):
+        if ell == 2 or not is_prime(ell):
             raise ValueError("ell must be an odd prime")
-        if self.rho < 0:
+        if rho < 0:
             raise ValueError("rho must be nonnegative")
-        object.__setattr__(self, "polys", tuple(tuple(int(c) for c in f) for f in self.polys))
-        object.__setattr__(self, "mus", tuple(int(m) for m in self.mus))
-        for f in self.polys:
+        polys = tuple(tuple(int(c) for c in f) for f in polys)
+        mus = tuple(int(m) for m in mus)
+        for f in polys:
             if len(f) < 2 or f[-1] != 1:
                 raise ValueError("polynomials must be monic of degree >= 1")
-            if any(c % self.ell for c in f[:-1]):
+            if any(c % ell for c in f[:-1]):
                 raise ValueError("non-leading coefficients must be divisible by ell")
-        if any(m < 1 for m in self.mus):
+        if any(m < 1 for m in mus):
             raise ValueError("ell-power exponents must be positive")
+        self._set_fields(ell, rho, polys, mus)
 
     @property
     def lambda_invariant(self) -> int:
@@ -154,20 +150,20 @@ def level_order(spec: ElementaryModuleSpec, n: int, exponent_offset: int = 0) ->
     return total
 
 
-@dataclass(frozen=True)
-class LevelOrderTable:
+class LevelOrderTable(Record):
     """Map n -> x(n) on consecutive levels; x is nondecreasing."""
 
-    entries: dict[int, int] = field(default_factory=dict)
+    __slots__ = ("entries",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", dict(self.entries))
-        ns = sorted(self.entries)
+    def __init__(self, entries: dict[int, int] | None = None):
+        entries = dict(entries or {})
+        ns = sorted(entries)
         if ns and ns != list(range(ns[0], ns[0] + len(ns))):
             raise ValueError("levels must be consecutive")
         for a, b in zip(ns, ns[1:]):
-            if self.entries[b] < self.entries[a]:
+            if entries[b] < entries[a]:
                 raise ValueError("x(n) must be nondecreasing")
+        object.__setattr__(self, "entries", entries)
 
     def levels(self) -> list[int]:
         return sorted(self.entries)
@@ -181,15 +177,25 @@ def level_order_table(
     )
 
 
-@dataclass(frozen=True)
-class FitParameters:
-    rho: int
-    mu: int
-    lam: int
-    nu: int
+class FitParameters(Record):
+    __slots__ = ("rho", "mu", "lam", "nu")
+
+    def __init__(self, rho: int, mu: int, lam: int, nu: int):
+        self._set_fields(rho, mu, lam, nu)
 
     def predict(self, ell: int, n: int) -> int:
         return self.rho * n * ell**n + self.mu * ell**n + self.lam * n + self.nu
+
+
+def _det(M: list[list[int]]) -> int:
+    """Determinant by cofactor expansion along the first row (4 x 4 here)."""
+    if len(M) == 1:
+        return M[0][0]
+    return sum(
+        (-1) ** j * M[0][j] * _det([row[:j] + row[j + 1 :] for row in M[1:]])
+        for j in range(len(M))
+        if M[0][j]
+    )
 
 
 def fit_parameters(table: LevelOrderTable, ell: int) -> FitParameters | None:
@@ -203,27 +209,19 @@ def fit_parameters(table: LevelOrderTable, ell: int) -> FitParameters | None:
     if len(ns) < 4:
         raise ValueError("table must contain at least 4 consecutive levels")
     window = ns[-4:]
-    A = [[Fraction(n * ell**n), Fraction(ell**n), Fraction(n), Fraction(1)] for n in window]
-    b = [Fraction(table.entries[n]) for n in window]
-    # Gaussian elimination over Q
-    for col in range(4):
-        piv = next((i for i in range(col, 4) if A[i][col] != 0), None)
-        if piv is None:
-            return None
-        A[col], A[piv] = A[piv], A[col]
-        b[col], b[piv] = b[piv], b[col]
-        inv = 1 / A[col][col]
-        A[col] = [x * inv for x in A[col]]
-        b[col] *= inv
-        for i in range(4):
-            if i != col and A[i][col] != 0:
-                f = A[i][col]
-                A[i] = [x - f * y for x, y in zip(A[i], A[col])]
-                b[i] -= f * b[col]
-    sol = b
-    if any(x.denominator != 1 for x in sol):
+    A = [[n * ell**n, ell**n, n, 1] for n in window]
+    b = [table.entries[n] for n in window]
+    # Cramer's rule over Z: x_i = det(A with column i replaced by b) / det(A)
+    det = _det(A)
+    if det == 0:
         return None
-    rho, mu, lam, nu = (int(x) for x in sol)
+    sol = []
+    for i in range(4):
+        num = _det([row[:i] + [y] + row[i + 1 :] for row, y in zip(A, b)])
+        if num % det != 0:
+            return None
+        sol.append(num // det)
+    rho, mu, lam, nu = sol
     if rho < 0 or mu < 0 or lam < 0:
         return None
     fitted = FitParameters(rho, mu, lam, nu)

@@ -10,7 +10,6 @@ oracle keeps that formula honest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .characters import VirtualChar, induce_trivial
@@ -21,7 +20,6 @@ from .groups import GroupElement, Subgroup, subgroup_generated
 from .groups import _unit_gens_prime_power
 
 
-@dataclass(frozen=True)
 class PrimeLocalData:
     """Delta_p, I_p and the tower splitting data of one rational prime.
 
@@ -30,12 +28,14 @@ class PrimeLocalData:
     tower and carries n_p = 0, weight 1.
     """
 
-    p: int
-    decomposition: Subgroup
-    inertia: Subgroup
-    frobenius: GroupElement
-    n_p: int
-    weight: int
+    def __init__(self, p: int, decomposition: Subgroup, inertia: Subgroup, frobenius: GroupElement,
+                 n_p: int, weight: int):
+        self.p = p
+        self.decomposition = decomposition
+        self.inertia = inertia
+        self.frobenius = frobenius
+        self.n_p = n_p
+        self.weight = weight
 
     @cached_property
     def induced_trivial(self) -> VirtualChar:

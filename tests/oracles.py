@@ -10,10 +10,12 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from fractions import Fraction
 
 from iwalambda.characters import VirtualChar, all_abs_chars
 from iwalambda.cohomology import FiniteGammaModule, _mat_mul
 from iwalambda.groups import FiniteAbelianGroup, Subgroup
+from iwalambda.iwasawa import FitParameters, LevelOrderTable
 from iwalambda.splitting import decomposition_data
 
 
@@ -176,3 +178,45 @@ def random_gamma_module(rng: random.Random, max_order: int = 64) -> FiniteGammaM
             return FiniteGammaModule(G, tuple(tuple(r) for r in sig), n_actor)
         except ValueError:
             continue
+
+
+def fit_window_by_elimination(table: LevelOrderTable, ell: int) -> list[Fraction] | None:
+    """(rho, mu, lambda, nu) over Q from the last four levels of the table,
+    by Gauss-Jordan elimination on Fractions; None if the system is singular."""
+    window = table.levels()[-4:]
+    A = [[Fraction(n * ell**n), Fraction(ell**n), Fraction(n), Fraction(1)] for n in window]
+    b = [Fraction(table.entries[n]) for n in window]
+    for col in range(4):
+        piv = next((i for i in range(col, 4) if A[i][col] != 0), None)
+        if piv is None:
+            return None
+        A[col], A[piv] = A[piv], A[col]
+        b[col], b[piv] = b[piv], b[col]
+        inv = 1 / A[col][col]
+        A[col] = [x * inv for x in A[col]]
+        b[col] *= inv
+        for i in range(4):
+            if i != col and A[i][col] != 0:
+                f = A[i][col]
+                A[i] = [x - f * y for x, y in zip(A[i], A[col])]
+                b[i] -= f * b[col]
+    return b
+
+
+def fit_parameters_by_elimination(table: LevelOrderTable, ell: int) -> FitParameters | None:
+    """fit_parameters' contract on the rational solution of the window:
+    integral, rho, mu, lambda >= 0, and the level before the window (if
+    any) reproduced; None otherwise."""
+    if len(table.levels()) < 4:
+        raise ValueError("table must contain at least 4 consecutive levels")
+    sol = fit_window_by_elimination(table, ell)
+    if sol is None or any(x.denominator != 1 for x in sol):
+        return None
+    rho, mu, lam, nu = (int(x) for x in sol)
+    if rho < 0 or mu < 0 or lam < 0:
+        return None
+    fitted = FitParameters(rho, mu, lam, nu)
+    prev = table.levels()[-4] - 1
+    if prev in table.entries and fitted.predict(ell, prev) != table.entries[prev]:
+        return None
+    return fitted

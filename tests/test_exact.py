@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 
 from iwalambda.exact import (
     IntMatrix,
+    Record,
     _snf_with_transform,
     cokernel_invariants,
     crt,
@@ -16,6 +19,10 @@ from iwalambda.exact import (
     smith_normal_form,
     valuation,
 )
+from iwalambda.characters import AbsChar, LadicChar
+from iwalambda.cohomology import AmbiguousInput, FiniteGammaModule
+from iwalambda.groups import FiniteAbelianGroup, GroupElement
+from iwalambda.iwasawa import ElementaryModuleSpec, FitParameters, LevelOrderTable
 from oracles import det_by_cofactors, determinantal_divisors, order_by_powering, valuation_by_division
 
 
@@ -167,3 +174,108 @@ def test_factorize_roundtrip():
             assert is_prime(p)
             prod *= p**k
         assert prod == n
+
+
+# ---------------------------------------------------------------------------
+# the immutable value records: one sample of each, with its fields in
+# declaration order
+
+G26 = FiniteAbelianGroup((2, 6))
+RECORDS = [
+    (G26, ("invariant_factors",)),
+    (GroupElement(G26, (1, 4)), ("group", "coords")),
+    (AbsChar(G26, (1, 4)), ("group", "coeffs")),
+    (LadicChar(G26, 5, (AbsChar(G26, (0, 1)), AbsChar(G26, (0, 5))), "imaginary"),
+     ("group", "ell", "orbit", "parity")),
+    (IntMatrix(2, 3, ((1, 2, 3), (4, 5, 6))), ("rows", "cols", "entries")),
+    (FiniteGammaModule(FiniteAbelianGroup((3,)), ((2,),), 2), ("module", "sigma", "order_n")),
+    (AmbiguousInput(2, (1, 0), 1, 0), ("h", "ram", "deg", "unit_index")),
+    (ElementaryModuleSpec(3, rho=1, polys=((3, 1),), mus=(2,)), ("ell", "rho", "polys", "mus")),
+    (LevelOrderTable({1: 1, 2: 3}), ("entries",)),
+    (FitParameters(1, 0, 2, -1), ("rho", "mu", "lam", "nu")),
+]
+record_ids = [type(x).__name__ for x, _ in RECORDS]
+records = pytest.mark.parametrize("x, names", RECORDS, ids=record_ids)
+
+
+def values(x, names):
+    return tuple(getattr(x, n) for n in names)
+
+
+class TestRecords:
+    @records
+    def test_hash_is_the_hash_of_the_field_tuple(self, x, names):
+        if isinstance(x, LevelOrderTable):  # its field is a dict
+            with pytest.raises(TypeError):
+                hash(x)
+        else:
+            assert hash(x) == hash(values(x, names))
+
+    @records
+    def test_equal_only_within_one_class(self, x, names):
+        twin = type(x)(*values(x, names))
+        assert twin == x and not twin != x
+        for y, _ in RECORDS:
+            if type(y) is not type(x):
+                assert x != y and not x == y
+
+    def test_same_fields_in_another_class_differ(self):
+        assert AbsChar(G26, (1, 4)) != GroupElement(G26, (1, 4))
+        assert GroupElement(G26, (1, 4)) != AbsChar(G26, (1, 4))
+        assert AbsChar(G26, (1, 4)) != (G26, (1, 4))
+
+        class Pair(Record):
+            __slots__ = ("a", "b")
+
+            def __init__(self, a, b):
+                self._set_fields(a, b)
+
+        class Twin(Record):
+            __slots__ = ("a", "b")
+
+            def __init__(self, a, b):
+                self._set_fields(a, b)
+
+        assert Pair(1, 2) == Pair(1, 2) and hash(Pair(1, 2)) == hash((1, 2))
+        assert Pair(1, 2) != Twin(1, 2) and Twin(1, 2) != Pair(1, 2)
+        assert Pair(1, 2) != (1, 2)
+
+    @records
+    def test_fields_cannot_be_assigned_or_deleted(self, x, names):
+        for name in names:
+            before = getattr(x, name)
+            with pytest.raises(AttributeError):
+                setattr(x, name, before)
+            with pytest.raises(AttributeError):
+                delattr(x, name)
+            assert getattr(x, name) is before
+        with pytest.raises(AttributeError):
+            x.not_a_field = 1
+
+    @records
+    def test_pickle_and_deepcopy_round_trip(self, x, names):
+        for y in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x), copy.copy(x)):
+            assert type(y) is type(x) and y == x
+            if not isinstance(x, LevelOrderTable):
+                assert hash(y) == hash(x)
+
+    @records
+    def test_keyword_construction(self, x, names):
+        assert type(x)(**dict(zip(names, values(x, names)))) == x
+
+    def test_defaults(self):
+        assert ElementaryModuleSpec(3, rho=1) == ElementaryModuleSpec(3, 1, (), ())
+        assert LevelOrderTable().entries == {}
+        assert LevelOrderTable() == LevelOrderTable({})
+        assert LadicChar(G26, 5, ()).parity is None
+
+    @records
+    def test_repr_names_the_class_and_its_fields(self, x, names):
+        text = repr(x)
+        assert text.startswith(type(x).__name__ + "(")
+        for name in names:
+            assert f"{name}={getattr(x, name)!r}" in text
+
+    def test_repr_example(self):
+        assert repr(FitParameters(1, 0, 2, -1)) == "FitParameters(rho=1, mu=0, lam=2, nu=-1)"
+        assert repr(G26) == "FiniteAbelianGroup(invariant_factors=(2, 6))"

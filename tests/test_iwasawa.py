@@ -1,12 +1,16 @@
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iwalambda._kernels import snf_mod_valuations
 from iwalambda.errors import ScaleError
 from iwalambda.exact import smith_normal_form, valuation
 from iwalambda.iwasawa import (
     ElementaryModuleSpec,
+    FitParameters,
     LevelOrderTable,
     fit_parameters,
     level_order,
@@ -15,11 +19,44 @@ from iwalambda.iwasawa import (
     poly_level_valuation_direct,
     poly_level_valuations,
 )
+from oracles import fit_parameters_by_elimination, fit_window_by_elimination
 
 
 def random_distinguished(rng, ell, max_deg=3):
     deg = rng.randint(1, max_deg)
     return tuple(ell * rng.randint(-3, 3) for _ in range(deg)) + (1,)
+
+
+def random_fit_table(rng):
+    """(table, ell): 4 to 6 consecutive levels of rho*n*ell^n + mu*ell^n +
+    lambda*n + nu for random integer parameters, negatives included, and in
+    half the draws one entry of the fit window or of the level before it
+    moved by 1 or 2; redrawn until the table is nondecreasing."""
+    while True:
+        ell = rng.choice([3, 5, 7])
+        params = FitParameters(*(rng.randint(-3, 3) for _ in range(3)), rng.randint(-9, 9))
+        n0 = rng.randint(0, 3)
+        levels = range(n0, n0 + rng.randint(4, 6))
+        entries = {n: params.predict(ell, n) for n in levels}
+        if rng.random() < 0.5:
+            entries[rng.choice(levels[-5:])] += rng.choice([-2, -1, 1, 2])
+        try:
+            return LevelOrderTable(entries), ell
+        except ValueError:
+            continue
+
+
+def fit_outcome(table, ell) -> str:
+    """Which of fit_parameters' cases a table falls in, read off the
+    rational solution of its window."""
+    sol = fit_window_by_elimination(table, ell)
+    if any(x.denominator != 1 for x in sol):
+        return "non-integral"
+    if min(sol[:3]) < 0:
+        return "negative"
+    if fit_parameters_by_elimination(table, ell) is None:
+        return "preceding-level mismatch"
+    return "fit"
 
 
 class TestOmegaPoly:
@@ -183,3 +220,23 @@ class TestFit:
             assert f0 is not None and f1 is not None
             assert (f1.rho, f1.lam) == (f0.rho, f0.lam)
             assert f1.mu == f0.mu + f0.rho
+
+
+class TestFitOracle:
+    """Integer Cramer in fit_parameters against Gauss-Jordan over Fractions."""
+
+    @settings(derandomize=True, max_examples=300)
+    @given(st.randoms(use_true_random=False))
+    def test_cramer_matches_elimination(self, rng):
+        table, ell = random_fit_table(rng)
+        assert fit_parameters(table, ell) == fit_parameters_by_elimination(table, ell)
+
+    def test_draws_reach_every_case(self):
+        rng = random.Random(25)
+        seen = Counter()
+        for _ in range(400):
+            table, ell = random_fit_table(rng)
+            assert fit_parameters(table, ell) == fit_parameters_by_elimination(table, ell)
+            seen[fit_outcome(table, ell)] += 1
+        assert set(seen) == {"fit", "non-integral", "negative", "preceding-level mismatch"}, seen
+        assert min(seen.values()) >= 10, seen

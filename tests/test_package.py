@@ -88,6 +88,23 @@ class TestLazyNamespace:
                 raise SystemExit("no ImportError")
         """)
 
+    def test_cli_leaves_dataclasses_and_fractions_out(self):
+        loaded = loaded_after("import iwalambda.cli")
+        assert not {"dataclasses", "inspect", "fractions", "decimal"} & loaded
+
+    def test_herbrand_quotient_loads_fractions_on_first_call(self):
+        out = run_fresh("""
+            import sys
+            from iwalambda.cohomology import FiniteGammaModule, herbrand_quotient
+            from iwalambda.groups import FiniteAbelianGroup
+            assert "fractions" not in sys.modules
+            q = herbrand_quotient(FiniteGammaModule(FiniteAbelianGroup((3,)), ((2,),), 2))
+            import fractions
+            assert type(q) is fractions.Fraction
+            print(q)
+        """)
+        assert out.strip() == "1"
+
     def test_cli_loads_every_traced_module(self):
         loaded = loaded_after("import iwalambda.cli")
         assert {f"iwalambda.{name}" for name in TRACED} <= loaded
