@@ -47,6 +47,22 @@ class AbsChar(Record):
     def __hash__(self):
         return hash((self.group, self.coeffs))
 
+    @classmethod
+    def from_values(cls, group: FiniteAbelianGroup, values, modulus: int | None = None) -> "AbsChar":
+        """The character taking values[i] at group.basis()[i].
+
+        A value v in Z/n (n = modulus, by default the group exponent) means
+        the n-th root of unity to the power v; on a basis element of order d
+        it must have order dividing d, so coeff = v * d / n is exact.
+        """
+        n = group.exponent if modulus is None else modulus
+        coeffs = []
+        for v, d in zip(values, group.invariant_factors):
+            if v * d % n != 0:
+                raise AssertionError("character value has too large an order")
+            coeffs.append(v * d // n % d)
+        return cls(group, tuple(coeffs))
+
     def value_at(self, g: GroupElement) -> int:
         if g.group != self.group:
             raise ValueError("element of a different group")
@@ -255,27 +271,17 @@ def induce_trivial(delta: FiniteAbelianGroup, D: Subgroup) -> VirtualChar:
     These are the pull-backs psi o pi of the characters psi of Q = Delta/D
     through the projection pi, so the work is [Delta:D] characters, not a
     test of all |Delta| characters on all |D| elements; D keeps Q after the
-    first call.  psi(pi e_i) lies in Z/e_Q and becomes c_i * (e / d_i) in Z/e.
+    first call.  psi(pi e_i) lies in Z/e_Q, and from_values lifts it to Delta.
     """
     if D.parent != delta:
         raise ValueError("subgroup of a different group")
     Q = D.quotient()
-    e = delta.exponent
-    lift = e // Q.group.exponent
-    images = [
-        Q.project(delta.element([1 if j == i else 0 for j in range(delta.rank)]))
-        for i in range(delta.rank)
-    ]
-    mults = {}
-    for psi in all_abs_chars(Q.group):
-        coeffs = []
-        for g, d in zip(images, delta.invariant_factors):
-            v = psi.value_at(g) * lift
-            step = e // d
-            if v % step != 0:
-                raise AssertionError("pulled-back value has too large an order")
-            coeffs.append(v // step)
-        mults[AbsChar(delta, tuple(coeffs))] = 1
+    e_Q = Q.group.exponent
+    images = [Q.project(b) for b in delta.basis()]
+    mults = {
+        AbsChar.from_values(delta, [psi.value_at(g) for g in images], e_Q): 1
+        for psi in all_abs_chars(Q.group)
+    }
     return VirtualChar(delta, mults)
 
 
@@ -288,26 +294,10 @@ def restrict(x: VirtualChar, D: Subgroup) -> VirtualChar:
     """Restriction of homomorphisms to a subgroup, in the subgroup's own
     invariant-factor presentation; coinciding restrictions add up."""
     S, to_parent, _ = D.as_group()
-    e_par = x.group.exponent
-    e_sub = S.exponent
-    basis = [
-        to_parent(S.element([1 if j == i else 0 for j in range(S.rank)]))
-        for i in range(S.rank)
-    ]
+    basis = [to_parent(b) for b in S.basis()]
     acc: dict[AbsChar, int] = {}
     for chi, k in x._m.items():
-        coeffs = []
-        for i, d in enumerate(S.invariant_factors):
-            v = chi.value_at(basis[i])
-            num = v * e_sub
-            if num % e_par != 0:
-                raise AssertionError("restricted value is not an e_sub-th root")
-            w = (num // e_par) % e_sub
-            step = e_sub // d
-            if w % step != 0:
-                raise AssertionError("restricted value has too large an order")
-            coeffs.append((w // step) % d)
-        target = AbsChar(S, tuple(coeffs))
+        target = AbsChar.from_values(S, [chi.value_at(b) for b in basis], x.group.exponent)
         acc[target] = acc.get(target, 0) + k
     return VirtualChar(S, acc)
 
@@ -356,16 +346,9 @@ def teichmuller(field: FieldSpec) -> LadicChar:
     g = _least_primitive_root(ell)
     dlog_ell = {pow(g, j, ell): j for j in range(ell - 1)}
     scale = e // (ell - 1)
-    coeffs = []
-    for i, d in enumerate(delta.invariant_factors):
-        basis_el = delta.element([1 if j == i else 0 for j in range(delta.rank)])
-        a = field.residue_section(basis_el)
-        v = dlog_ell[a % ell] * scale % e
-        step = e // d
-        if v % step != 0:
-            raise AssertionError("Teichmueller value incompatible with basis order")
-        coeffs.append((v // step) % d)
-    omega = AbsChar(delta, tuple(coeffs))
+    omega = AbsChar.from_values(
+        delta, [dlog_ell[field.residue_section(b) % ell] for b in delta.basis()], ell - 1
+    )
     # verify against every generator of the ambient unit group
     for a in field.units._gens:
         want = dlog_ell[a % ell] * scale % e

@@ -18,9 +18,10 @@ import argparse
 import json
 import re
 import sys
+from math import gcd
 
-from .characters import AbsChar, LadicChar, VirtualChar, teichmuller
-from .cohomology import AmbiguousInput, FiniteGammaModule, ambiguous_valuation, herbrand_quotient, tate_h0, tate_h1
+from .characters import AbsChar, LadicChar, VirtualChar, mirror_abs, teichmuller
+from .cohomology import AmbiguousInput, FiniteGammaModule, ambiguous_valuation, tate_h0, tate_h1
 from .defect import (
     LambdaExpr,
     defect_character,
@@ -60,17 +61,12 @@ def _char_label(chi: AbsChar, omega: AbsChar | None) -> str:
 
 
 def _render_virtual(x: VirtualChar, field: FieldSpec) -> dict[str, int]:
-    omega = teichmuller(field).rep if field.contains_mu_ell else None
-    out: dict[str, int] = {}
-    rebuilt = VirtualChar.zero(field.delta)
-    for phi in ladic_chars_of(field):
-        m = x.multiplicity(phi.rep)
-        if m:
-            out[_char_label(phi.rep, omega)] = m
-            rebuilt = rebuilt + m * VirtualChar.from_ladic(phi)
-    if rebuilt != x:
+    """Multiplicities by orbit label; x must be a sum of whole orbits."""
+    if x.group != field.delta or not x.is_frobenius_stable(field.ell):
         raise AssertionError("virtual character is not Frobenius-stable")
-    return out
+    omega = teichmuller(field).rep if field.contains_mu_ell else None
+    reps = (phi.rep for phi in ladic_chars_of(field))
+    return {_char_label(chi, omega): m for chi in reps if (m := x.multiplicity(chi))}
 
 
 def _render_lambda(expr: LambdaExpr, field: FieldSpec) -> dict:
@@ -177,7 +173,7 @@ def cmd_chars(args) -> dict:
     orbit_label = {chi.coeffs: _char_label(phi.rep, omega) for phi in chars for chi in phi.orbit}
 
     def mirror_label(phi: LadicChar) -> str:
-        label = orbit_label.get((omega * phi.rep.inverse()).coeffs)
+        label = orbit_label.get(mirror_abs(phi.rep, omega).coeffs)
         if label is None:
             raise AssertionError("mirror partner missing")
         return label
@@ -337,10 +333,12 @@ def cmd_cohomology(args) -> dict:
     except ValueError as exc:
         raise IwalambdaError(str(exc)) from exc
     h0, h1 = tate_h0(module), tate_h1(module)
+    g = gcd(h0, h1)  # the Herbrand quotient h0/h1 in lowest terms, as str(Fraction) prints it
+    herbrand = str(h0 // g) if h1 == g else f"{h0 // g}/{h1 // g}"
     return {
         "field": None,
         "input": {"factors": list(factors), "sigma": [list(r) for r in sigma], "order": args.order},
-        "result": {"h0": h0, "h1": h1, "herbrand": str(herbrand_quotient(module))},
+        "result": {"h0": h0, "h1": h1, "herbrand": herbrand},
         "oracle_checked": False,
     }
 

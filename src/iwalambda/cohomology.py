@@ -18,7 +18,7 @@ unit-norm index are inputs, never computed here.
 from __future__ import annotations
 
 from .errors import InconsistentDataError
-from .exact import Record, identity_matrix, smith_normal_form
+from .exact import Record, diagonal_matrix, identity_matrix, smith_normal_form, transpose
 from .groups import FiniteAbelianGroup, GroupElement, Subgroup, quotient, subgroup_generated
 
 
@@ -53,11 +53,9 @@ class FiniteGammaModule(Record):
         if _cokernel_order(list(map(list, self.sigma)), d) != 1:
             raise ValueError("sigma is not an automorphism")
         power = _mat_power(self.sigma, self.order_n)
-        for i in range(k):
-            for j in range(k):
-                want = 1 if i == j else 0
-                if (power[i][j] - want) % d[i] != 0:
-                    raise ValueError("sigma^order_n is not the identity")
+        for row, want, di in zip(power, identity_matrix(k), d):
+            if any((x - y) % di for x, y in zip(row, want)):
+                raise ValueError("sigma^order_n is not the identity")
 
     def apply(self, g: GroupElement) -> GroupElement:
         if g.group != self.module:
@@ -79,7 +77,8 @@ class FiniteGammaModule(Record):
         return total
 
     def sigma_minus_one(self) -> list[list[int]]:
-        return _mat_sub_identity(self.sigma)
+        k = self.module.rank
+        return [[x - y for x, y in zip(row, one)] for row, one in zip(self.sigma, identity_matrix(k))]
 
 
 def _mat_mul(a, b) -> list[list[int]]:
@@ -98,11 +97,6 @@ def _mat_power(a, n: int) -> list[list[int]]:
     return out
 
 
-def _mat_sub_identity(a) -> list[list[int]]:
-    k = len(a)
-    return [[a[i][j] - (1 if i == j else 0) for j in range(k)] for i in range(k)]
-
-
 def _cokernel_order(F: list[list[int]], d: tuple[int, ...]) -> int:
     """|M / im(F)| for the module with invariant factors d: Smith form of
     the columns of F together with the relation lattice.
@@ -110,10 +104,7 @@ def _cokernel_order(F: list[list[int]], d: tuple[int, ...]) -> int:
     On a finite module this is also |ker(F)|, by counting: |M| = |ker F| *
     |im F|, so the Tate orders below read kernels off this one function.
     """
-    k = len(d)
-    if k == 0:
-        return 1
-    rows = [F[i] + [d[i] if j == i else 0 for j in range(k)] for i in range(k)]
+    rows = [f + r for f, r in zip(F, diagonal_matrix(d))]
     out = 1
     for x in smith_normal_form(rows):
         out *= x
@@ -167,14 +158,8 @@ def stable_submodule(M: FiniteGammaModule, gens) -> tuple[FiniteGammaModule, Sub
             x = M.apply(x)
     H = subgroup_generated(M.module, closed)
     S, to_parent, from_parent = H.as_group()
-    k = S.rank
-    cols = []
-    for i in range(k):
-        basis = S.element([1 if j == i else 0 for j in range(k)])
-        image = M.apply(to_parent(basis))
-        cols.append(from_parent[image.coords].coords)
-    sigma = tuple(tuple(cols[j][i] for j in range(k)) for i in range(k))
-    return FiniteGammaModule(S, sigma, M.order_n), H
+    cols = [from_parent[M.apply(to_parent(b)).coords].coords for b in S.basis()]
+    return FiniteGammaModule(S, transpose(cols), M.order_n), H
 
 
 def quotient_module(M: FiniteGammaModule, H: Subgroup) -> FiniteGammaModule:
@@ -183,14 +168,8 @@ def quotient_module(M: FiniteGammaModule, H: Subgroup) -> FiniteGammaModule:
         if M.apply(h) not in H:
             raise ValueError("subgroup is not sigma-stable")
     Q = quotient(M.module, H)
-    k = Q.group.rank
-    cols = []
-    for i in range(k):
-        basis = Q.group.element([1 if j == i else 0 for j in range(k)])
-        image = Q.project(M.apply(Q.section(basis)))
-        cols.append(image.coords)
-    sigma = tuple(tuple(cols[j][i] for j in range(k)) for i in range(k))
-    return FiniteGammaModule(Q.group, sigma, M.order_n)
+    cols = [Q.project(M.apply(Q.section(b))).coords for b in Q.group.basis()]
+    return FiniteGammaModule(Q.group, transpose(cols), M.order_n)
 
 
 # ---------------------------------------------------------------------------

@@ -197,8 +197,17 @@ class IntMatrix(Record):
         return [list(r) for r in self.entries]
 
 
+def diagonal_matrix(d) -> list[list[int]]:
+    n = len(d)
+    return [[d[i] if j == i else 0 for j in range(n)] for i in range(n)]
+
+
 def identity_matrix(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    return diagonal_matrix([1] * n)
+
+
+def transpose(rows) -> list[list[int]]:
+    return [list(col) for col in zip(*rows)]
 
 
 def _nearest_div(a: int, b: int) -> int:

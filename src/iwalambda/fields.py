@@ -15,7 +15,7 @@ from functools import lru_cache
 
 from .errors import FieldError
 from .exact import is_prime
-from .groups import GroupElement, Subgroup, quotient, subgroup_generated, unit_group
+from .groups import GroupElement, Subgroup, subgroup_generated, unit_group
 
 
 class FieldSpec:
@@ -35,7 +35,7 @@ class FieldSpec:
         except ValueError as exc:
             raise FieldError(f"subgroup generator not a unit mod {conductor}") from exc
         self.subgroup: Subgroup = subgroup_generated(self.units.group, gens)
-        self._quotient = quotient(self.units.group, self.subgroup)
+        self._quotient = self.subgroup.quotient()
         self.delta = self._quotient.group
         self.tau_bar = self.delta_element(conductor - 1)
         self.contains_mu_ell = all(

@@ -4,7 +4,9 @@ A group is a chain (d_1 | d_2 | ... | d_k) with d_i >= 2; the empty chain
 is the trivial group.  Elements are coordinate vectors.  The module also
 builds (Z/m)* with a two-way residue/dlog bridge, subgroups with their own
 invariant-factor presentations, and quotients with explicit projection and
-section maps (both via Smith reduction of the relation lattice).
+section maps.  Quotient is the one place a relation lattice is Smith
+reduced: G/H, (Z/m)* as Z^n modulo the generator orders, and the
+subgroup presentations all read their coordinates from it.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from functools import lru_cache
 from math import gcd
 
 from .errors import FieldError, ScaleError
-from .exact import Record, _snf_with_transform, crt, factorize
+from .exact import Record, _snf_with_transform, crt, diagonal_matrix, factorize, identity_matrix, transpose
 
 UNIT_GROUP_MODULUS_CAP = 10**5
 
@@ -23,7 +25,7 @@ class FiniteAbelianGroup(Record):
     __slots__ = ("invariant_factors",)
 
     def __init__(self, invariant_factors: tuple[int, ...]):
-        d = invariant_factors
+        d = tuple(int(x) for x in invariant_factors)
         if any(x < 2 for x in d):
             raise ValueError("invariant factors must be >= 2")
         if any(d[i + 1] % d[i] != 0 for i in range(len(d) - 1)):
@@ -57,6 +59,10 @@ class FiniteAbelianGroup(Record):
 
     def identity(self) -> "GroupElement":
         return GroupElement(self, (0,) * self.rank)
+
+    def basis(self) -> list["GroupElement"]:
+        """The unit coordinate vectors, one generator of order d_i each."""
+        return [GroupElement(self, tuple(row)) for row in identity_matrix(self.rank)]
 
     def element(self, coords) -> "GroupElement":
         coords = tuple(int(c) for c in coords)
@@ -193,8 +199,7 @@ def trivial_subgroup(G: FiniteAbelianGroup) -> Subgroup:
 
 
 def full_subgroup(G: FiniteAbelianGroup) -> Subgroup:
-    basis = [G.element([1 if j == i else 0 for j in range(G.rank)]) for i in range(G.rank)]
-    return subgroup_generated(G, basis)
+    return subgroup_generated(G, G.basis())
 
 
 def all_subgroups(G: FiniteAbelianGroup) -> list[Subgroup]:
@@ -211,27 +216,14 @@ def all_subgroups(G: FiniteAbelianGroup) -> list[Subgroup]:
     return sorted(out.values(), key=lambda s: (s.order, [e.coords for e in s.elements]))
 
 
-def _matvec(M: list[list[int]], v) -> list[int]:
-    return [sum(M[i][j] * v[j] for j in range(len(v))) for i in range(len(M))]
-
-
 def _subgroup_structure(H: Subgroup):
     G = H.parent
     k = G.rank
-    if k == 0 or H.order == 1:
-        T = FiniteAbelianGroup(())
-        to_parent = lambda el: G.identity()
-        from_parent = {G.identity().coords: T.identity()}
-        return T, to_parent, from_parent
-
-    # lattice L' spanned by the subgroup elements and the relation lattice diag(d)
-    cols = [list(e.coords) for e in H.elements] + [
-        [G.invariant_factors[i] if j == i else 0 for j in range(k)] for i in range(k)
-    ]
-    M = [[cols[j][i] for j in range(len(cols))] for i in range(k)]
-    d1, U1, U1inv = _snf_with_transform(M)
-    # basis of L': columns b_i = d1_i * U1^{-1} e_i, so B = U1^{-1} diag(d1)
-    B = [[U1inv[r][i] * d1[i] for i in range(k)] for r in range(k)]
+    # H.quotient() has reduced the lattice L' spanned by H and diag(d):
+    # U1 * L' = diag(d1) * Z^k with (d1, U1, U1^-1) its Smith data
+    Q = H.quotient()
+    d1, U1, U1inv = Q._d, Q._U, Q._Uinv
+    # basis of L': columns b_i = d1_i * U1^{-1} e_i, so B = U1^{-1} diag(d1).
     # L = diag(d) expressed in the basis of L': C = B^{-1} D = diag(d1)^{-1} U1 D,
     # an exact division because L' contains the relation lattice L
     C = [[U1[i][j] * G.invariant_factors[j] for j in range(k)] for i in range(k)]
@@ -241,13 +233,13 @@ def _subgroup_structure(H: Subgroup):
         C[i] = [x // d1[i] for x in C[i]]
     d2, U2, U2inv = _snf_with_transform(C)
     slots = [i for i, s in enumerate(d2) if s >= 2]
-    T = FiniteAbelianGroup(tuple(d2[i] for i in slots))
+    T = FiniteAbelianGroup(d2[i] for i in slots)
 
     # abstract basis vector j -> lattice point B * U2^{-1} e_slot(j), reduced mod d
-    gens_in_parent = []
-    for i in slots:
-        w = _matvec(B, [U2inv[r][i] for r in range(k)])
-        gens_in_parent.append(G.element(w))
+    gens_in_parent = [
+        G.element(sum(U1inv[r][j] * d1[j] * U2inv[j][i] for j in range(k)) for r in range(k))
+        for i in slots
+    ]
 
     def to_parent(el: GroupElement) -> GroupElement:
         x = G.identity()
@@ -264,31 +256,39 @@ def _subgroup_structure(H: Subgroup):
 
 
 class Quotient:
-    """G/H in invariant-factor form with projection and an integral section."""
+    """Z^k / L in invariant-factor form, L spanned by the given columns.
 
-    def __init__(self, source: FiniteAbelianGroup, group: FiniteAbelianGroup,
-                 U: list[list[int]], Uinv: list[list[int]], divisors: list[int], slots: list[int]):
+    One Smith reduction gives (d, U, U^-1): row i of U reads the class of a
+    vector in Z/d_i, and the columns of U^-1 at the slots with d_i >= 2 lift
+    the quotient's basis back to Z^k.  For G/H the source is G and the
+    columns are H's elements and G's relations; a presentation of a group
+    with no source (as (Z/m)* over its generators) uses image and lift.
+    """
+
+    def __init__(self, columns, source: FiniteAbelianGroup | None = None):
         self.source = source
-        self.group = group
-        self._U = U
-        self._Uinv = Uinv
-        self._divisors = divisors
-        self._slots = slots
+        self._d, self._U, self._Uinv = _snf_with_transform(transpose(columns))
+        self._slots = [i for i, s in enumerate(self._d) if s >= 2]
+        self.group = FiniteAbelianGroup(self._d[i] for i in self._slots)
+
+    def image(self, x) -> GroupElement:
+        """The class of the integer vector x."""
+        return self.group.element(sum(u * c for u, c in zip(self._U[i], x)) for i in self._slots)
+
+    def lift(self, q: GroupElement) -> list[int]:
+        """An integer vector in the class q."""
+        if q.group != self.group:
+            raise ValueError("element not in the quotient group")
+        return [sum(row[i] * c for i, c in zip(self._slots, q.coords)) for row in self._Uinv]
 
     def project(self, g: GroupElement) -> GroupElement:
         if g.group != self.source:
             raise ValueError("element not in the source group")
-        y = _matvec(self._U, list(g.coords))
-        return self.group.element(y[i] for i in self._slots)
+        return self.image(g.coords)
 
     def section(self, q: GroupElement) -> GroupElement:
         """Any preimage of q under the projection."""
-        if q.group != self.group:
-            raise ValueError("element not in the quotient group")
-        y = [0] * len(self._divisors)
-        for c, i in zip(q.coords, self._slots):
-            y[i] = c
-        return self.source.element(_matvec(self._Uinv, y))
+        return self.source.element(self.lift(q))
 
 
 def quotient(G: FiniteAbelianGroup, H: Subgroup) -> Quotient:
@@ -299,18 +299,7 @@ def quotient(G: FiniteAbelianGroup, H: Subgroup) -> Quotient:
     """
     if H.parent != G:
         raise ValueError("subgroup of a different group")
-    k = G.rank
-    if k == 0:
-        T = FiniteAbelianGroup(())
-        return Quotient(G, T, [], [], [], [])
-    cols = [list(g.coords) for g in H.elements] + [
-        [G.invariant_factors[i] if j == i else 0 for j in range(k)] for i in range(k)
-    ]
-    M = [[cols[j][i] for j in range(len(cols))] for i in range(k)]
-    d, U, Uinv = _snf_with_transform(M)
-    slots = [i for i, s in enumerate(d) if s >= 2]
-    T = FiniteAbelianGroup(tuple(d[i] for i in slots))
-    return Quotient(G, T, U, Uinv, d, slots)
+    return Quotient([e.coords for e in H.elements] + diagonal_matrix(G.invariant_factors), G)
 
 
 # ---------------------------------------------------------------------------
@@ -373,22 +362,11 @@ class UnitGroupModM:
                 self._blocks.append((q, len(block) == 2, _power_table(g, o, q)))
         self._gens = gens
         self._orders = orders
-        n = len(gens)
-        if n == 0:
-            self.group = FiniteAbelianGroup(())
-            self._U = []
-            self._Uinv = []
-            self._slots = []
-            self._divisors = []
-        else:
-            D = [[orders[i] if j == i else 0 for j in range(n)] for i in range(n)]
-            d, self._U, self._Uinv = _snf_with_transform(D)
-            self.group = FiniteAbelianGroup(tuple(s for s in d if s >= 2))
-            self._slots = [i for i, s in enumerate(d) if s >= 2]
-            self._divisors = d
+        # Z^n over the generators, modulo their orders
+        self._presentation = Quotient(diagonal_matrix(orders))
+        self.group = self._presentation.group
         self._basis_residues = [
-            self._residue_from_gen_coords([self._Uinv[r][i] for r in range(n)])
-            for i in self._slots
+            self._residue_from_gen_coords(self._presentation.lift(b)) for b in self.group.basis()
         ]
 
     def _residue_from_gen_coords(self, x) -> int:
@@ -418,8 +396,7 @@ class UnitGroupModM:
                 if s:
                     r = q - r
             x.append(table[r])
-        y = _matvec(self._U, x)
-        return self.group.element(y[i] for i in self._slots)
+        return self._presentation.image(x)
 
 
 def _power_table(g: int, order: int, q: int) -> list[int]:

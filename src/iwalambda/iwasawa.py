@@ -18,10 +18,11 @@ stacked relation lattice) is exposed for cross-checking.
 from __future__ import annotations
 
 from math import comb
+from types import MappingProxyType
 
 from ._kernels import snf_mod_valuations
 from .errors import ScaleError
-from .exact import Record, is_prime, smith_normal_form, valuation
+from .exact import Record, diagonal_matrix, is_prime, smith_normal_form, transpose, valuation
 
 # Matrices are ell^n-dimensional; this cap admits 3^5 and 5^3 so that a
 # fit window in the stable regime exists for mu-exponents up to 2 at ell=3.
@@ -104,7 +105,7 @@ def _mult_matrix_mod(f: tuple[int, ...], ell: int, n: int, q: int | None) -> lis
         if top:
             nxt = [red(a + top * b) for a, b in zip(nxt, fold)]
         cols.append(nxt)
-    return [[cols[j][i] for j in range(dim)] for i in range(dim)]
+    return transpose(cols)
 
 
 def poly_level_valuations(f: tuple[int, ...], ell: int, n: int, cap: int) -> list[int]:
@@ -121,7 +122,7 @@ def poly_level_valuation_direct(f: tuple[int, ...], ell: int, n: int, cap: int) 
     dim = ell**n
     q = ell**cap
     mult = _mult_matrix_mod(f, ell, n, None)
-    rows = [mult[i] + [q if j == i else 0 for j in range(dim)] for i in range(dim)]
+    rows = [r + s for r, s in zip(mult, diagonal_matrix([q] * dim))]
     return sum(valuation(d, ell) for d in smith_normal_form(rows) if d != 0)
 
 
@@ -151,7 +152,11 @@ def level_order(spec: ElementaryModuleSpec, n: int, exponent_offset: int = 0) ->
 
 
 class LevelOrderTable(Record):
-    """Map n -> x(n) on consecutive levels; x is nondecreasing."""
+    """Map n -> x(n) on consecutive levels; x is nondecreasing.
+
+    entries is a read-only view of a private copy, so the checks below
+    hold for the table's whole life.
+    """
 
     __slots__ = ("entries",)
 
@@ -163,7 +168,10 @@ class LevelOrderTable(Record):
         for a, b in zip(ns, ns[1:]):
             if entries[b] < entries[a]:
                 raise ValueError("x(n) must be nondecreasing")
-        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "entries", MappingProxyType(entries))
+
+    def __reduce__(self):
+        return type(self), (dict(self.entries),)
 
     def levels(self) -> list[int]:
         return sorted(self.entries)

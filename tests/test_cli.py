@@ -2,7 +2,9 @@ import contextlib
 import hashlib
 import io
 import json
+import pathlib
 import resource
+import shlex
 import subprocess
 import sys
 
@@ -10,6 +12,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import iwalambda.cli
+import iwalambda.cohomology
 from iwalambda.cli import main, parse_poly
 from oracles import primes_below
 
@@ -221,6 +225,22 @@ class TestAmbigAndCohomology:
         rc, out, _ = run_cli("cohomology", "--factors", "3,3", "--sigma", "0,1;1,0", "--order", "2")
         data = json.loads(out)
         assert rc == 0 and data["result"]["herbrand"] == "1"
+
+    def test_each_tate_order_computed_once(self, monkeypatch):
+        # the Herbrand quotient is rendered from the h0 and h1 already computed
+        calls = {"tate_h0": 0, "tate_h1": 0}
+        for name in calls:
+            original = getattr(iwalambda.cohomology, name)
+
+            def counted(M, name=name, original=original):
+                calls[name] += 1
+                return original(M)
+
+            for module in (iwalambda.cli, iwalambda.cohomology):
+                monkeypatch.setattr(module, name, counted)
+        rc, out, _ = run_inprocess(["cohomology", "--factors", "3,9", "--sigma", "1,0;0,4", "--order", "3"])
+        assert rc == 0 and json.loads(out)["result"]["herbrand"] == "1"
+        assert calls == {"tate_h0": 1, "tate_h1": 1}
 
 
 class TestMalformedIntegerLists:
@@ -484,3 +504,27 @@ class TestFieldInputs:
     def test_conductor_not_divisible(self):
         rc, _, err = run_cli("chars", "--ell", "3", "--conductor", "10")
         assert rc == 2 and "divisible" in err
+
+
+def readme_cli_lines():
+    """The iwalambda command lines of the README's CLI example block."""
+    text = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("iwalambda ")]
+
+
+class TestReadmeExamples:
+    def test_block_found(self):
+        assert len(readme_cli_lines()) == 7
+
+    @pytest.mark.parametrize("line", readme_cli_lines())
+    def test_runs_as_one_command(self, line):
+        # as sh splits it: an unquoted ';' or '|' would end the command early
+        lexer = shlex.shlex(line, posix=True, punctuation_chars=True)
+        lexer.whitespace_split = True
+        tokens = list(lexer)
+        assert tokens[0] == "iwalambda"
+        assert not [t for t in tokens if set(t) <= set(lexer.punctuation_chars)], tokens
+        rc, out, err = run_inprocess(tokens[1:])
+        assert (rc, err) == (0, ""), line
+        assert json.loads(out)["schema"] == "iwalambda/1"

@@ -5,7 +5,10 @@ import sys
 import textwrap
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from iwalambda.characters import AbsChar, all_abs_chars
 from iwalambda.errors import FieldError, ScaleError
 from iwalambda.groups import (
     FiniteAbelianGroup,
@@ -182,3 +185,63 @@ def test_quotient_by_handbuilt_subgroup():
     assert Q.group.order == 2
     kernel = {g.coords for g in G.elements() if Q.project(g).is_identity}
     assert kernel == {e.coords for e in ref.elements}
+
+
+def test_invariant_factors_are_a_tuple_of_ints():
+    G = FiniteAbelianGroup([2, 6])
+    assert G.invariant_factors == (2, 6) and type(G.invariant_factors) is tuple
+    assert G == FiniteAbelianGroup((2, 6))
+    assert hash(G) == hash(FiniteAbelianGroup((2, 6)))
+    assert FiniteAbelianGroup(d for d in (3, 3)) == FiniteAbelianGroup((3, 3))
+
+
+def _chains(prefix=(), order=1, max_order=24, max_rank=3):
+    """Every divisibility chain extending prefix within the order and rank caps."""
+    yield prefix
+    if len(prefix) == max_rank:
+        return
+    d = prefix[-1] if prefix else 2
+    while order * d <= max_order:
+        yield from _chains(prefix + (d,), order * d, max_order, max_rank)
+        d += prefix[-1] if prefix else 1
+
+
+CHAINS = list(_chains())
+
+
+class TestPresentation:
+    """Quotient, as_group and AbsChar.from_values on every subgroup of
+    every group of rank <= 3 and order <= 24."""
+
+    def test_chain_census(self):
+        assert len(CHAINS) == len(set(CHAINS)) == 36
+        assert {(2, 2, 6), (2, 12), (24,), ()} <= set(CHAINS)
+
+    @settings(derandomize=True, max_examples=200)
+    @given(st.sampled_from(CHAINS))
+    def test_every_subgroup(self, chain):
+        G = FiniteAbelianGroup(chain)
+        for H in all_subgroups(G):
+            T, to_parent, from_parent = H.as_group()
+            assert T.order == H.order
+            assert {to_parent(t).coords for t in T.elements()} == {h.coords for h in H}
+            for t in T.elements():
+                assert from_parent[to_parent(t).coords] == t
+            Q = quotient(G, H)
+            assert Q.group.order * H.order == G.order
+            for q in Q.group.elements():
+                assert Q.project(Q.section(q)) == q
+        for chi in all_abs_chars(G):
+            assert AbsChar.from_values(G, [chi.value_at(b) for b in G.basis()]) == chi
+
+    @settings(derandomize=True, max_examples=200)
+    @given(st.sampled_from([c for c in CHAINS if c]))
+    def test_value_of_too_large_an_order(self, chain):
+        G = FiniteAbelianGroup(chain)
+        # 1 in Z/2e has order 2e, above every d_i
+        with pytest.raises(AssertionError, match="too large an order"):
+            AbsChar.from_values(G, [1] * G.rank, 2 * G.exponent)
+        if chain[0] < G.exponent:
+            # 1 in Z/e on the first basis element, whose order d_1 is smaller
+            with pytest.raises(AssertionError, match="too large an order"):
+                AbsChar.from_values(G, [1] + [0] * (G.rank - 1))

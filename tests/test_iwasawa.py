@@ -96,6 +96,19 @@ class TestLevelOrder:
         assert level_order(ElementaryModuleSpec(3, polys=[(0, 1)]), 3) == 3
         assert level_order(ElementaryModuleSpec(3, mus=[1]), 2) == 9
 
+    def test_table_entries_are_read_only(self):
+        table = level_order_table(ElementaryModuleSpec(3, rho=1), 1, 5)
+        with pytest.raises(TypeError):
+            table.entries[5] = 0
+        with pytest.raises(TypeError):
+            del table.entries[1]
+        assert table.entries[5] == level_order(ElementaryModuleSpec(3, rho=1), 5)
+        # the table keeps a copy: the caller's dict stays its own
+        source = {1: 1, 2: 3}
+        copied = LevelOrderTable(source)
+        source[2] = 0
+        assert copied.entries[2] == 3
+
     def test_level_zero_is_zero(self):
         for spec in (
             ElementaryModuleSpec(3, rho=1),
