@@ -76,14 +76,12 @@ class LambdaExpr:
             return LambdaExpr(dict(self.base), self.shift + other)
         return NotImplemented
 
+    def __neg__(self) -> "LambdaExpr":
+        return LambdaExpr({s: -k for s, k in self.base.items()}, -self.shift)
+
     def __sub__(self, other):
-        if isinstance(other, LambdaExpr):
-            base = dict(self.base)
-            for s, k in other.base.items():
-                base[s] = base.get(s, 0) - k
-            return LambdaExpr(base, self.shift - other.shift)
-        if isinstance(other, VirtualChar):
-            return LambdaExpr(dict(self.base), self.shift - other)
+        if isinstance(other, (LambdaExpr, VirtualChar)):
+            return self + (-other)
         return NotImplemented
 
     def __eq__(self, other) -> bool:
@@ -144,6 +142,13 @@ def _s_phi(field: FieldSpec, S: tuple[int, ...], phi: LadicChar) -> tuple[int, .
     return tuple(p for p in S if decomposition_data(field, p).induced_trivial.multiplicity(phi.rep))
 
 
+def _imaginary_s_phi_weights(field: FieldSpec, S: tuple[int, ...]):
+    """Yield (phi, [ell^{n_p} for p in S_phi]) for each imaginary ell-adic
+    phi, for an S already validated as tame."""
+    for phi in imaginary_chars_of(field):
+        yield phi, [decomposition_data(field, p).weight for p in _s_phi(field, S, phi)]
+
+
 def defect_character(field: FieldSpec, S) -> VirtualChar:
     """Character of the semi-local image of the imaginary S-units.
 
@@ -154,11 +159,9 @@ def defect_character(field: FieldSpec, S) -> VirtualChar:
     field.require_mirror_valid()
     S = _validate_tame(field, S)
     result = VirtualChar.zero(field.delta)
-    for phi in imaginary_chars_of(field):
-        primes = _s_phi(field, S, phi)
-        if primes:
-            weight = field.ell ** max(decomposition_data(field, p).n_p for p in primes)
-            result = result + weight * VirtualChar.from_ladic(phi)
+    for phi, weights in _imaginary_s_phi_weights(field, S):
+        if weights:
+            result = result + max(weights) * VirtualChar.from_ladic(phi)
     return result
 
 
@@ -229,13 +232,10 @@ def lambda_shift_real(field: FieldSpec, S) -> LambdaExpr:
     field.require_mirror_valid()
     S = _validate_tame(field, S)
     shift = VirtualChar.zero(field.delta)
-    for phi in imaginary_chars_of(field):
-        primes = _s_phi(field, S, phi)
-        if len(primes) > 1:
-            ws = [field.ell ** decomposition_data(field, p).n_p for p in primes]
-            coeff = sum(ws) - max(ws)
-            if coeff:
-                shift = shift + coeff * mirror(VirtualChar.from_ladic(phi), field)
+    for phi, weights in _imaginary_s_phi_weights(field, S):
+        coeff = sum(weights) - max(weights) if weights else 0
+        if coeff:
+            shift = shift + coeff * mirror(VirtualChar.from_ladic(phi), field)
     return LambdaExpr({BaseSymbol.LAMBDA_REAL: 1}, shift)
 
 
@@ -279,40 +279,34 @@ class KappaResult:
         self.value = value
 
 
-def classify_case(field: FieldSpec, S, T) -> CaseTag:
+def kappa(field: FieldSpec, S, T) -> KappaResult:
+    """Case-resolved defect for the (S-ramified, T-decomposed) tower data.
+
+    Validates S, then T, and the hypotheses of the reflection theorem (S
+    and T disjoint, ell in one of them).  SPECIAL (ell in S, T empty): the
+    formal value -1 (minus the unit character).  TORSION (ell in T): zero.
+    WILD_MIRROR (ell in S, tame nonempty T): the defect character of T,
+    purely imaginary and >= 0.
+    """
     S = validate_prime_set(S)
     T = validate_prime_set(T)
     if set(S) & set(T) or field.ell not in set(S) | set(T):
         raise PrimeSetError("hypotheses of reflection theorem violated")
     if field.ell in T:
-        return CaseTag.TORSION
+        return KappaResult(CaseTag.TORSION, VirtualChar.zero(field.delta))
     if not T:
-        return CaseTag.SPECIAL
-    return CaseTag.WILD_MIRROR
+        return KappaResult(CaseTag.SPECIAL, -VirtualChar.one(field.delta))
+    return KappaResult(CaseTag.WILD_MIRROR, defect_character(field, T))
 
 
-def kappa(field: FieldSpec, S, T) -> KappaResult:
-    """Case-resolved defect for the (S-ramified, T-decomposed) tower data.
+def _lambda_expr_for(field: FieldSpec, ram) -> LambdaExpr:
+    """lambda of the ram-ramified module as an affine expr.
 
-    SPECIAL (ell in S, T empty): the formal value -1 (minus the unit
-    character).  TORSION (ell in T): zero.  WILD_MIRROR (ell in S, tame
-    nonempty T): the defect character of T, purely imaginary and >= 0.
-    """
-    case = classify_case(field, S, T)
-    if case is CaseTag.SPECIAL:
-        return KappaResult(case, -VirtualChar.one(field.delta))
-    if case is CaseTag.TORSION:
-        return KappaResult(case, VirtualChar.zero(field.delta))
-    return KappaResult(case, defect_character(field, T))
-
-
-def _lambda_expr_for(field: FieldSpec, ram, dec) -> LambdaExpr:
-    """lambda of the (ram-ramified, dec-decomposed) module as an affine expr.
-
-    ram wild: the reflected closed form, independent of dec.  ram tame
-    (so dec contains ell): the two parity shifts; for ram = {} both
-    shifts vanish once the special-case kappa = -1 is fed through the
-    identity, so the baseline is the bare unramified symbols.
+    ram wild: the reflected closed form, independent of the decomposed
+    set.  ram tame (so the decomposed set contains ell): the two parity
+    shifts; for ram = {} both shifts vanish once the special-case
+    kappa = -1 is fed through the identity, so the baseline is the bare
+    unramified symbols.
     """
     ram = validate_prime_set(ram)
     if field.ell in ram:
@@ -326,13 +320,18 @@ def _lambda_expr_for(field: FieldSpec, ram, dec) -> LambdaExpr:
 
 
 class ReflectionReport:
-    def __init__(self, holds: bool, lhs: LambdaExpr, rhs: LambdaExpr, case_lhs: CaseTag,
-                 case_rhs: CaseTag):
+    """Both sides of the identity and the two case-resolved defects:
+    kappa_lhs = kappa(T, S) and kappa_rhs = kappa(S, T)."""
+
+    def __init__(self, holds: bool, lhs: LambdaExpr, rhs: LambdaExpr, kappa_lhs: KappaResult,
+                 kappa_rhs: KappaResult):
         self.holds = holds
         self.lhs = lhs
         self.rhs = rhs
-        self.case_lhs = case_lhs
-        self.case_rhs = case_rhs
+        self.kappa_lhs = kappa_lhs
+        self.kappa_rhs = kappa_rhs
+        self.case_lhs = kappa_lhs.case
+        self.case_rhs = kappa_rhs.case
 
 
 def reflection_check(field: FieldSpec, S, T) -> ReflectionReport:
@@ -342,23 +341,20 @@ def reflection_check(field: FieldSpec, S, T) -> ReflectionReport:
     Both sides are assembled from independently computed pieces (shift
     formulas with per-orbit maxima on one side, weighted inductions and
     the case-resolved defect on the other), so agreement is an arithmetic
-    identity check, not a tautology.
+    identity check, not a tautology.  kappa(S, T) runs first and checks
+    the prime sets and the hypotheses, S before T.
     """
     field.require_mirror_valid()
-    S = validate_prime_set(S)
-    T = validate_prime_set(T)
-    if set(S) & set(T) or field.ell not in set(S) | set(T):
-        raise PrimeSetError("hypotheses of reflection theorem violated")
     one = VirtualChar.one(field.delta)
 
-    kappa_ts = kappa(field, T, S)
-    lhs = _lambda_expr_for(field, T, S) - kappa_ts.value + (chi_S(field, S) - one)
-
     kappa_st = kappa(field, S, T)
-    rhs_inner = _lambda_expr_for(field, S, T) - kappa_st.value + (chi_S(field, T) - one)
+    rhs_inner = _lambda_expr_for(field, S) - kappa_st.value + (chi_S(field, T) - one)
     rhs = mirror_lambda_expr(rhs_inner, field)
 
-    return ReflectionReport(lhs == rhs, lhs, rhs, kappa_ts.case, kappa_st.case)
+    kappa_ts = kappa(field, T, S)
+    lhs = _lambda_expr_for(field, T) - kappa_ts.value + (chi_S(field, S) - one)
+
+    return ReflectionReport(lhs == rhs, lhs, rhs, kappa_ts, kappa_st)
 
 
 # ---------------------------------------------------------------------------

@@ -339,14 +339,3 @@ def smith_normal_form(m: IntMatrix | list[list[int]]) -> tuple[int, ...]:
             raise AssertionError("divisor chain violated (reduction bug)")
     return tuple(d)
 
-
-def cokernel_invariants(rows: list[list[int]]) -> tuple[tuple[int, ...], int]:
-    """(torsion factors >= 2, free rank) of Z^rows / columnspan(M)."""
-    if not rows:
-        return (), 0
-    if not rows[0]:
-        return (), len(rows)
-    d, _, _ = _snf_with_transform(rows)
-    rank = sum(1 for x in d if x != 0)
-    torsion = tuple(x for x in d if x >= 2)
-    return torsion, len(rows) - rank

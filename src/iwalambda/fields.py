@@ -38,9 +38,8 @@ class FieldSpec:
         self._quotient = self.subgroup.quotient()
         self.delta = self._quotient.group
         self.tau_bar = self.delta_element(conductor - 1)
-        self.contains_mu_ell = all(
-            self.units.residue_of(h) % ell == 1 for h in self.subgroup
-        )
+        # reduction mod ell is a homomorphism and ell | m: the generators decide
+        self.contains_mu_ell = all(h % ell == 1 for h in self.subgroup_gens)
         self.degree_prime_to_ell = self.delta.order % ell != 0
 
     # -- residue <-> Delta bridges ------------------------------------------

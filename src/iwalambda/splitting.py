@@ -13,7 +13,7 @@ from __future__ import annotations
 from functools import cached_property, lru_cache
 
 from .characters import VirtualChar, induce_trivial
-from .errors import PrimeSetError, ScaleError
+from .errors import PrimeSetError
 from .exact import crt, is_prime, mult_order, valuation
 from .fields import FieldSpec
 from .groups import GroupElement, Subgroup, subgroup_generated
@@ -60,30 +60,26 @@ def splitting_exponent(ell: int, p: int) -> int:
     return valuation(pow(p, ell - 1) - 1, ell) - 1
 
 
-def splitting_exponent_oracle(ell: int, p: int, n_max: int = 8) -> int:
+def splitting_exponent_oracle(ell: int, p: int) -> int:
     """Count places over p in each tower layer until the count freezes.
 
-    Layer n has ell^n / ord places, where ord is the order of p in the
-    ell-part of (Z/ell^(n+1))*; the stabilized count is ell^{n_p}.
+    Layer n has ell^n / ord places, where ord is the ell-part of the order
+    of p in (Z/ell^(n+1))*.  The count is ell^n up to layer n_p and
+    ell^{n_p} from there on, so it first repeats at layer n_p + 1 and
+    the loop ends after n_p + 2 counts.
     """
-    if n_max > 8:
-        raise ScaleError("oracle scale exceeded")
     if ell == 2 or not is_prime(ell) or not is_prime(p):
         raise PrimeSetError("arguments must be primes, ell odd")
     if p == ell:
         raise PrimeSetError("wild prime has no tame splitting exponent")
 
     def places(n: int) -> int:
-        order = mult_order(p, ell ** (n + 1))
-        return ell**n // ell ** valuation(order, ell) if order % ell == 0 else ell**n
+        return ell**n // ell ** valuation(mult_order(p, ell ** (n + 1)), ell)
 
-    prev = places(0)
-    for n in range(1, n_max + 1):
-        cur = places(n)
-        if cur == prev:
-            return valuation(cur, ell) if cur > 1 else 0
-        prev = cur
-    raise ScaleError("increase n_max")
+    prev, n = places(0), 1
+    while (cur := places(n)) != prev:
+        prev, n = cur, n + 1
+    return valuation(cur, ell)
 
 
 @lru_cache(maxsize=None)

@@ -24,6 +24,22 @@ from iwalambda.splitting import decomposition_data
 PROPERTY_FIELDS = ((3, 15, ()), (3, 33, ()), (3, 15, (4,)), (5, 35, ()), (3, 165, ()))
 
 
+def _chains(prefix=(), order=1, max_order=24, max_rank=3):
+    """Every divisibility chain extending prefix within the order and rank caps."""
+    yield prefix
+    if len(prefix) == max_rank:
+        return
+    d = prefix[-1] if prefix else 2
+    while order * d <= max_order:
+        yield from _chains(prefix + (d,), order * d, max_order, max_rank)
+        d += prefix[-1] if prefix else 1
+
+
+# invariant factors d_1 | d_2 | ... of every finite abelian group of rank
+# <= 3 and order <= 24 (36 chains, the trivial group included)
+CHAINS = list(_chains())
+
+
 def valuation_by_division(x: int, ell: int) -> int:
     x = abs(x)
     k = 0
@@ -100,6 +116,11 @@ def group_order_census(G: FiniteAbelianGroup) -> dict[int, int]:
 def induce_trivial_by_scan(delta: FiniteAbelianGroup, D: Subgroup) -> VirtualChar:
     """Every character of Delta that vanishes on every element of D, each once."""
     return VirtualChar(delta, {chi: 1 for chi in all_abs_chars(delta) if chi.is_trivial_on(D.elements)})
+
+
+def contains_mu_ell_by_scan(field) -> bool:
+    """K contains the ell-th roots of unity iff every h in H is 1 mod ell."""
+    return all(field.units.residue_of(h) % field.ell == 1 for h in field.subgroup)
 
 
 def s_phi_by_scan(field, S, phi) -> tuple[int, ...]:

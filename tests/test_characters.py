@@ -1,8 +1,8 @@
-import math
 import random
+from math import gcd
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iwalambda.characters import (
@@ -24,7 +24,7 @@ from iwalambda.characters import (
     trivial_char,
 )
 from iwalambda.errors import FieldError
-from iwalambda.fields import field_spec
+from iwalambda.fields import FieldSpec, field_spec
 from iwalambda.groups import (
     FiniteAbelianGroup,
     Subgroup,
@@ -33,19 +33,7 @@ from iwalambda.groups import (
     subgroup_generated,
     trivial_subgroup,
 )
-from oracles import induce_trivial_by_scan
-
-
-@st.composite
-def invariant_chains(draw, max_order=24):
-    """Divisibility chains d_1 | d_2 | ... of rank <= 3 and order <= max_order."""
-    chain = []
-    for _ in range(draw(st.integers(0, 3))):
-        nxt = chain[-1] * draw(st.integers(1, 3)) if chain else draw(st.integers(2, 6))
-        if nxt * math.prod(chain) > max_order:
-            break
-        chain.append(nxt)
-    return tuple(chain)
+from oracles import CHAINS, PROPERTY_FIELDS, contains_mu_ell_by_scan, induce_trivial_by_scan
 
 
 def stable_random_char(field, rng, lo=-3, hi=3):
@@ -202,7 +190,8 @@ class TestInduction:
                     assert lhs == (phi.degree if phi.rep.is_trivial_on(D.elements) else 0)
 
 
-    @given(invariant_chains())
+    @settings(derandomize=True, max_examples=200)
+    @given(st.sampled_from(CHAINS))
     def test_pullback_matches_kernel_scan(self, chain):
         G = FiniteAbelianGroup(chain)
         for D in all_subgroups(G):
@@ -289,6 +278,13 @@ class TestTeichmuller:
         assert not F.contains_mu_ell
         with pytest.raises(FieldError, match="roots of unity"):
             teichmuller(F)
+
+    @settings(derandomize=True, max_examples=100)
+    @given(st.sampled_from(PROPERTY_FIELDS), st.lists(st.integers(1, 10**4), max_size=3))
+    def test_mu_ell_flag_read_off_generators(self, key, raw):
+        ell, m, gens = key
+        F = FieldSpec(ell, m, gens + tuple(h for h in raw if gcd(h, m) == 1))
+        assert F.contains_mu_ell == contains_mu_ell_by_scan(F)
 
 
 class TestMirror:

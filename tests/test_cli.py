@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import iwalambda.cli
 import iwalambda.cohomology
+import iwalambda.defect
 from iwalambda.cli import main, parse_poly
 from oracles import primes_below
 
@@ -156,6 +157,12 @@ class TestLambda:
         rc, _, _ = run_cli("lambda", "--ell", "3", "--conductor", "3", "--primes", "7", "--parity", "wild")
         assert rc == 3
 
+    def test_verify_deep_splitting_prime(self):
+        # 39367 stops splitting at layer n_p = 8; the place count has no depth cap
+        rc, out, err = run_inprocess(["lambda", "--ell", "3", "--conductor", "3", "--primes", "39367", "--verify"])
+        assert rc == 0 and err == ""
+        assert json.loads(out)["oracle_checked"] is True
+
 
 class TestReflect:
     def test_example(self):
@@ -179,6 +186,21 @@ class TestReflect:
         rc, out, err = run_cli("reflect", "--ell", "3", "--conductor", "15", "--S", "3", "--T", "7,7")
         assert rc == 3 and out == ""
         assert err == "error: 7 is repeated: a prime list must be a set\n"
+
+    def test_kappa_read_from_the_report(self, monkeypatch):
+        # kappa(S, T) is computed once, inside reflection_check
+        calls = []
+        original = iwalambda.defect.defect_character
+
+        def counted(field, S):
+            calls.append(tuple(S))
+            return original(field, S)
+
+        for module in (iwalambda.cli, iwalambda.defect):
+            monkeypatch.setattr(module, "defect_character", counted)
+        rc, out, _ = run_inprocess(["reflect", "--ell", "3", "--conductor", "15", "--S", "3", "--T", "7,13"])
+        assert rc == 0 and json.loads(out)["result"]["case"] == "wild_mirror"
+        assert calls == [(7, 13)]
 
 
 class TestSimulate:

@@ -219,6 +219,17 @@ class TestLambdaShifts:
         for sym in BaseSymbol:
             assert mirror_symbol(mirror_symbol(sym)) == sym
 
+    def test_expr_negation_and_difference(self):
+        a = lambda_shift_real(F3, [7, 13])
+        b = lambda_wild(F3, [3, 7])
+        assert (-a).base == {BaseSymbol.LAMBDA_REAL: -1} and (-a).shift == -a.shift
+        assert -(-b) == b
+        diff = a - b
+        assert diff + b == a and (a - a).base == {} and (a - a).shift.is_zero
+        assert a - a.shift == LambdaExpr(a.base, VirtualChar.zero(F3.delta))
+        with pytest.raises(TypeError):
+            a - 1
+
 
 class TestKappa:
     def test_special(self):
@@ -264,6 +275,31 @@ class TestReflection:
         assert isinstance(rep.lhs, LambdaExpr) and isinstance(rep.rhs, LambdaExpr)
         assert rep.lhs == rep.rhs
         assert rep.case_rhs is CaseTag.WILD_MIRROR
+
+    @settings(derandomize=True, max_examples=60)
+    @given(
+        st.sampled_from(PROPERTY_FIELDS),
+        st.lists(st.sampled_from(primes_below(60)), unique=True, max_size=4),
+        st.lists(st.booleans(), min_size=4, max_size=4),
+        st.booleans(),
+    )
+    def test_report_carries_both_kappas(self, key, primes, in_s, ell_in_s):
+        F = field_spec(*key)
+        tame = [p for p in primes if p != F.ell]
+        S = [p for p, side in zip(tame, in_s) if side]
+        T = [p for p, side in zip(tame, in_s) if not side]
+        (S if ell_in_s else T).append(F.ell)
+        rep = reflection_check(F, S, T)
+        for got, want in ((rep.kappa_rhs, kappa(F, S, T)), (rep.kappa_lhs, kappa(F, T, S))):
+            assert got.case is want.case and got.value == want.value
+        assert (rep.case_lhs, rep.case_rhs) == (rep.kappa_lhs.case, rep.kappa_rhs.case)
+
+    @pytest.mark.parametrize(
+        "S, T, message", [([3, 9], [7, 7], "9 is not prime"), ([3, 7, 7], [1], "7 is repeated")]
+    )
+    def test_s_reported_before_t(self, S, T, message):
+        with pytest.raises(PrimeSetError, match=message):
+            reflection_check(F3, S, T)
 
 
 class TestImoLambda:

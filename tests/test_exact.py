@@ -10,7 +10,6 @@ from iwalambda.exact import (
     IntMatrix,
     Record,
     _snf_with_transform,
-    cokernel_invariants,
     crt,
     euler_phi,
     factorize,
@@ -149,12 +148,6 @@ class TestSmith:
         for di, Di in zip(d, determinantal_divisors(M)):
             prod *= di
             assert prod == Di
-
-    def test_cokernel_invariants(self):
-        torsion, free = cokernel_invariants([[2, 0], [0, 0]])
-        assert torsion == (2,) and free == 1
-        torsion, free = cokernel_invariants([[1, 0], [0, 1]])
-        assert torsion == () and free == 0
 
 
 def test_is_prime_small():

@@ -18,7 +18,7 @@ from iwalambda.groups import (
     trivial_subgroup,
     unit_group,
 )
-from oracles import group_order_census, unit_order_census
+from oracles import CHAINS, group_order_census, unit_order_census
 
 
 class TestUnitGroup:
@@ -193,20 +193,6 @@ def test_invariant_factors_are_a_tuple_of_ints():
     assert G == FiniteAbelianGroup((2, 6))
     assert hash(G) == hash(FiniteAbelianGroup((2, 6)))
     assert FiniteAbelianGroup(d for d in (3, 3)) == FiniteAbelianGroup((3, 3))
-
-
-def _chains(prefix=(), order=1, max_order=24, max_rank=3):
-    """Every divisibility chain extending prefix within the order and rank caps."""
-    yield prefix
-    if len(prefix) == max_rank:
-        return
-    d = prefix[-1] if prefix else 2
-    while order * d <= max_order:
-        yield from _chains(prefix + (d,), order * d, max_order, max_rank)
-        d += prefix[-1] if prefix else 1
-
-
-CHAINS = list(_chains())
 
 
 class TestPresentation:

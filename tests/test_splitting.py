@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from iwalambda import splitting
 from iwalambda.characters import VirtualChar, all_abs_chars, induce_trivial
-from iwalambda.errors import PrimeSetError, ScaleError
+from iwalambda.errors import PrimeSetError
 from iwalambda.fields import field_spec
 from iwalambda.groups import subgroup_generated
 from iwalambda.splitting import (
@@ -66,19 +66,19 @@ class TestSplittingExponent:
         assert splitting_exponent(3, 53) == 2  # v3(2808) - 1
 
     def test_oracle_examples(self):
-        assert splitting_exponent_oracle(3, 7, 4) == 0
-        assert splitting_exponent_oracle(3, 17, 4) == 1
-        assert splitting_exponent_oracle(5, 7, 4) == 1  # v5(2400) = 2
+        assert splitting_exponent_oracle(3, 7) == 0
+        assert splitting_exponent_oracle(3, 17) == 1
+        assert splitting_exponent_oracle(5, 7) == 1  # v5(2400) = 2
+
+    def test_oracle_has_no_depth_cap(self):
+        # v3(39367^2 - 1) = 9, so n_p = 8 and the count freezes at layer 9
+        assert splitting_exponent_oracle(3, 39367) == splitting_exponent(3, 39367) == 8
 
     def test_wild_prime_rejected(self):
         with pytest.raises(PrimeSetError, match="wild prime"):
             splitting_exponent(3, 3)
         with pytest.raises(PrimeSetError):
             splitting_exponent_oracle(5, 5)
-
-    def test_oracle_scale(self):
-        with pytest.raises(ScaleError):
-            splitting_exponent_oracle(3, 7, 9)
 
     def test_closed_form_equals_oracle(self):
         for ell in (3, 5, 7):
