@@ -18,11 +18,11 @@ import argparse
 import json
 import re
 import sys
-from math import gcd
 
 from .characters import AbsChar, LadicChar, VirtualChar, mirror_abs, teichmuller
-from .cohomology import AmbiguousInput, FiniteGammaModule, ambiguous_valuation, tate_h0, tate_h1
+from .cohomology import AmbiguousInput, FiniteGammaModule, ambiguous_valuation, tate_h0
 from .defect import (
+    CaseTag,
     LambdaExpr,
     defect_character,
     defect_oracle,
@@ -33,7 +33,7 @@ from .defect import (
     lambda_wild,
     reflection_check,
 )
-from .errors import IwalambdaError
+from .errors import IwalambdaError, ScaleError
 from .fields import FieldSpec, field_spec
 from .groups import FiniteAbelianGroup
 from .iwasawa import (
@@ -246,9 +246,13 @@ def cmd_reflect(args) -> dict:
     report = reflection_check(field, S, T)
     checked = False
     if args.verify:
-        for tame in (S, T):
+        # a wild_mirror kappa(T, S) is the defect character of S, kappa(S, T) that of T
+        for tame, k in ((S, report.kappa_lhs), (T, report.kappa_rhs)):
             tame = tuple(p for p in tame if p != field.ell)
-            if tame and defect_character(field, tame) != defect_oracle(field, tame):
+            if not tame:
+                continue
+            value = k.value if k.case is CaseTag.WILD_MIRROR else defect_character(field, tame)
+            if value != defect_oracle(field, tame):
                 raise AssertionError("defect oracle disagrees with the closed form")
         checked = True
     return {
@@ -276,6 +280,11 @@ def cmd_simulate(args) -> dict:
         raise IwalambdaError("--n must be at least --n-min")
     if n_min < 0 or args.offset < 0:
         raise IwalambdaError("--n-min and --offset must be nonnegative")
+    # the orders, of the size of ell^n_max, print in decimal; ell >= 2^(bit_length-1)
+    # and 16^limit > 10^limit, so deep levels fail the first test without ell^n_max
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0 or absent: no limit
+    if limit and (n_max * (spec.ell.bit_length() - 1) >= 4 * limit or spec.ell**n_max >= 10**limit):
+        raise ScaleError(f"ell^n has more than {limit} digits")
     table = level_order_table(spec, n_min, n_max, exponent_offset=args.offset)
     fit = fit_parameters(table, spec.ell) if len(table.entries) >= 4 else None
     checked = False
@@ -329,13 +338,11 @@ def cmd_cohomology(args) -> dict:
         module = FiniteGammaModule(group, sigma, args.order)
     except ValueError as exc:
         raise IwalambdaError(str(exc)) from exc
-    h0, h1 = tate_h0(module), tate_h1(module)
-    g = gcd(h0, h1)  # the Herbrand quotient h0/h1 in lowest terms, as str(Fraction) prints it
-    herbrand = str(h0 // g) if h1 == g else f"{h0 // g}/{h1 // g}"
+    order = tate_h0(module)  # = |H^1|: the Herbrand quotient of a finite module is 1
     return {
         "field": None,
         "input": {"factors": list(factors), "sigma": [list(r) for r in sigma], "order": args.order},
-        "result": {"h0": h0, "h1": h1, "herbrand": herbrand},
+        "result": {"h0": order, "h1": order, "herbrand": "1"},
         "oracle_checked": False,
     }
 

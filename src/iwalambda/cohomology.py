@@ -4,11 +4,12 @@ ambiguous-class valuation formula.
 A module is a finite abelian group with an automorphism sigma of known
 order n.  The two cohomology orders |H^0-hat| = |ker(sigma-1)| / |im N|
 and |H^1| = |ker N| / |im(sigma-1)| (N the algebraic norm 1 + sigma +
-... + sigma^(n-1)) are computed through Smith reduction of the lifted
-maps against the presentation lattice; exhaustive element enumeration is
-kept in the tests as the oracle.  The Herbrand quotient of a finite
-module is 1, which is exactly the counting identity the reduction route
-realizes, and it is multiplicative on stable submodule / quotient pairs.
+... + sigma^(n-1), built by doubling in O(log n) products) are equal on
+a finite module, where |ker f| = |coker f|: one Smith reduction of each
+lifted map against the presentation lattice gives both.  Exhaustive
+element enumeration is kept in the tests as the oracle.  The Herbrand
+quotient is therefore 1, and multiplicative on stable submodule /
+quotient pairs.
 
 The ambiguous-class formula itself consumes ell-valuations only: the
 class number of the base, tame ramification indices, the degree, and the
@@ -16,6 +17,8 @@ unit-norm index are inputs, never computed here.
 """
 
 from __future__ import annotations
+
+from math import prod
 
 from .errors import InconsistentDataError
 from .exact import Record, diagonal_matrix, identity_matrix, smith_normal_form, transpose
@@ -45,17 +48,13 @@ class FiniteGammaModule(Record):
             raise ValueError("sigma must be a square matrix of the module rank")
         if self.order_n < 1:
             raise ValueError("the actor order must be positive")
-        for i in range(k):
-            for j in range(k):
-                if (self.sigma[i][j] * d[j]) % d[i] != 0:
-                    raise ValueError("sigma does not preserve the relation lattice")
+        if any((self.sigma[i][j] * d[j]) % d[i] for i in range(k) for j in range(k)):
+            raise ValueError("sigma does not preserve the relation lattice")
         # invertibility: sigma must be surjective on the finite module
         if _cokernel_order(list(map(list, self.sigma)), d) != 1:
             raise ValueError("sigma is not an automorphism")
-        power = _mat_power(self.sigma, self.order_n)
-        for row, want, di in zip(power, identity_matrix(k), d):
-            if any((x - y) % di for x, y in zip(row, want)):
-                raise ValueError("sigma^order_n is not the identity")
+        if _power_and_norm(self.sigma, self.order_n, d)[0] != identity_matrix(k):
+            raise ValueError("sigma^order_n is not the identity")
 
     def apply(self, g: GroupElement) -> GroupElement:
         if g.group != self.module:
@@ -66,71 +65,61 @@ class FiniteGammaModule(Record):
         )
 
     def norm_matrix(self) -> list[list[int]]:
-        k = self.module.rank
-        total = [[0] * k for _ in range(k)]
-        power = identity_matrix(k)
-        for _ in range(self.order_n):
-            for i in range(k):
-                for j in range(k):
-                    total[i][j] += power[i][j]
-            power = _mat_mul(power, self.sigma)
-        return total
+        """1 + sigma + ... + sigma^(order_n - 1), row i reduced mod d_i."""
+        return _power_and_norm(self.sigma, self.order_n, self.module.invariant_factors)[1]
 
     def sigma_minus_one(self) -> list[list[int]]:
-        k = self.module.rank
-        return [[x - y for x, y in zip(row, one)] for row, one in zip(self.sigma, identity_matrix(k))]
+        return [[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(self.sigma)]
 
 
-def _mat_mul(a, b) -> list[list[int]]:
-    k = len(a)
-    return [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(k)] for i in range(k)]
+def _power_and_norm(sigma, n: int, d: tuple[int, ...]) -> tuple[list[list[int]], list[list[int]]]:
+    """(sigma^n, sum_{i<n} sigma^i) by doubling (P_m, N_m) = (sigma^m,
+    sum_{i<m} sigma^i) to (P_m P_m, N_m + P_m N_m), plus a step to (P_m sigma,
+    N_m + P_m) on each set bit.  Row i is kept mod d_i: every factor preserves
+    the lattice, so a multiple of d_t in row t of a right factor dies mod d_i."""
+    k = len(d)
 
+    def mul(a, b):
+        return [[sum(a[i][t] * b[t][j] for t in range(k)) % d[i] for j in range(k)] for i in range(k)]
 
-def _mat_power(a, n: int) -> list[list[int]]:
-    out = identity_matrix(len(a))
-    base = [list(r) for r in a]
-    while n:
-        if n & 1:
-            out = _mat_mul(out, base)
-        base = _mat_mul(base, base)
-        n >>= 1
-    return out
+    def add(a, b):
+        return [[(x + y) % di for x, y in zip(ra, rb)] for ra, rb, di in zip(a, b, d)]
+
+    power = identity_matrix(k)
+    norm = [[0] * k for _ in range(k)]
+    for bit in bin(n)[2:]:
+        power, norm = mul(power, power), add(norm, mul(power, norm))
+        if bit == "1":
+            power, norm = mul(power, sigma), add(norm, power)
+    return power, norm
 
 
 def _cokernel_order(F: list[list[int]], d: tuple[int, ...]) -> int:
-    """|M / im(F)| for the module with invariant factors d: Smith form of
-    the columns of F together with the relation lattice.
-
-    On a finite module this is also |ker(F)|, by counting: |M| = |ker F| *
-    |im F|, so the Tate orders below read kernels off this one function.
-    """
-    rows = [f + r for f, r in zip(F, diagonal_matrix(d))]
-    out = 1
-    for x in smith_normal_form(rows):
-        out *= x
-    return out
+    """|M / im(F)| = |ker F| for the module with invariant factors d: Smith
+    form of the columns of F together with the relation lattice."""
+    return prod(smith_normal_form([f + r for f, r in zip(F, diagonal_matrix(d))]))
 
 
-def tate_h1(M: FiniteGammaModule) -> int:
-    """|H^1| = |ker(norm)| / |im(sigma - 1)|."""
+def _tate_order(M: FiniteGammaModule) -> int:
+    """|H^0-hat| = |H^1| = |coker(sigma-1)| * |coker N| / |M|, one reduction
+    per lattice.  im N in ker(sigma-1) needs |M|/|coker N| to divide
+    |coker(sigma-1)|, im(sigma-1) in ker N needs |M|/|coker(sigma-1)| to
+    divide |coker N|: both say that |M| divides the product."""
     d = M.module.invariant_factors
-    order = M.module.order
-    ker_norm = _cokernel_order(M.norm_matrix(), d)
-    im_sigma = order // _cokernel_order(M.sigma_minus_one(), d)
-    if ker_norm % im_sigma != 0:
-        raise AssertionError("im(sigma-1) does not sit inside ker(norm)")
-    return ker_norm // im_sigma
+    product = _cokernel_order(M.sigma_minus_one(), d) * _cokernel_order(M.norm_matrix(), d)
+    if product % M.module.order:
+        raise AssertionError("im(norm) and im(sigma-1) do not sit inside ker(sigma-1) and ker(norm)")
+    return product // M.module.order
 
 
 def tate_h0(M: FiniteGammaModule) -> int:
     """|H^0-hat| = |ker(sigma - 1)| / |im(norm)|."""
-    d = M.module.invariant_factors
-    order = M.module.order
-    ker_sigma = _cokernel_order(M.sigma_minus_one(), d)
-    im_norm = order // _cokernel_order(M.norm_matrix(), d)
-    if ker_sigma % im_norm != 0:
-        raise AssertionError("im(norm) does not sit inside ker(sigma-1)")
-    return ker_sigma // im_norm
+    return _tate_order(M)
+
+
+def tate_h1(M: FiniteGammaModule) -> int:
+    """|H^1| = |ker(norm)| / |im(sigma - 1)|."""
+    return _tate_order(M)
 
 
 def herbrand_quotient(M: FiniteGammaModule) -> "Fraction":
@@ -141,7 +130,8 @@ def herbrand_quotient(M: FiniteGammaModule) -> "Fraction":
     """
     from fractions import Fraction
 
-    return Fraction(tate_h0(M), tate_h1(M))
+    order = _tate_order(M)
+    return Fraction(order, order)
 
 
 # ---------------------------------------------------------------------------
@@ -152,8 +142,9 @@ def stable_submodule(M: FiniteGammaModule, gens) -> tuple[FiniteGammaModule, Sub
     gens = [g if isinstance(g, GroupElement) else M.module.element(g) for g in gens]
     closed = []
     for g in gens:
-        x = g
-        for _ in range(M.order_n):
+        closed.append(g)
+        x = M.apply(g)
+        while x != g:  # sigma permutes M, so the orbit closes at g
             closed.append(x)
             x = M.apply(x)
     H = subgroup_generated(M.module, closed)

@@ -13,7 +13,7 @@ import random
 from fractions import Fraction
 
 from iwalambda.characters import VirtualChar, all_abs_chars
-from iwalambda.cohomology import FiniteGammaModule, _mat_mul
+from iwalambda.cohomology import FiniteGammaModule
 from iwalambda.groups import FiniteAbelianGroup, Subgroup
 from iwalambda.iwasawa import FitParameters, LevelOrderTable
 from iwalambda.splitting import decomposition_data
@@ -131,23 +131,30 @@ def s_phi_by_scan(field, S, phi) -> tuple[int, ...]:
     )
 
 
+def norm_by_iterates(M: FiniteGammaModule, g):
+    """N g = g + sigma g + ... + sigma^(n-1) g, each iterate through M.apply."""
+    total, x = M.module.identity(), g
+    for _ in range(M.order_n):
+        total, x = total + x, M.apply(x)
+    return total
+
+
 def tate_by_enumeration(M: FiniteGammaModule) -> tuple[int, int]:
-    """(|H^0-hat|, |H^1|) by listing kernels and images elementwise."""
-    mod = M.module
-    N = M.norm_matrix()
-    S1 = M.sigma_minus_one()
-
-    def apply(F, g):
-        return mod.element(
-            sum(F[i][j] * g.coords[j] for j in range(mod.rank)) for i in range(mod.rank)
-        )
-
-    els = list(mod.elements())
-    ker_norm = sum(1 for g in els if apply(N, g).is_identity)
-    ker_sigma = sum(1 for g in els if apply(S1, g).is_identity)
-    im_norm = len({apply(N, g).coords for g in els})
-    im_sigma = len({apply(S1, g).coords for g in els})
+    """(|H^0-hat|, |H^1|) by listing kernels and images elementwise; the
+    norm is summed over the iterates of sigma, never read from a matrix."""
+    els = list(M.module.elements())
+    norms = [norm_by_iterates(M, g) for g in els]
+    diffs = [M.apply(g) - g for g in els]
+    ker_norm = sum(1 for x in norms if x.is_identity)
+    ker_sigma = sum(1 for x in diffs if x.is_identity)
+    im_norm = len({x.coords for x in norms})
+    im_sigma = len({x.coords for x in diffs})
     return ker_sigma // im_norm, ker_norm // im_sigma
+
+
+def mat_mul(a, b) -> list[list[int]]:
+    k = len(a)
+    return [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(k)] for i in range(k)]
 
 
 def random_gamma_module(rng: random.Random, max_order: int = 64) -> FiniteGammaModule:
@@ -194,7 +201,7 @@ def random_gamma_module(rng: random.Random, max_order: int = 64) -> FiniteGammaM
             Einv = [row[:] for row in E]
             E[i][j] = c
             Einv[i][j] = -c
-            sig = _mat_mul(_mat_mul(E, sig), Einv)
+            sig = mat_mul(mat_mul(E, sig), Einv)
         try:
             return FiniteGammaModule(G, tuple(tuple(r) for r in sig), n_actor)
         except ValueError:

@@ -248,21 +248,61 @@ class TestAmbigAndCohomology:
         data = json.loads(out)
         assert rc == 0 and data["result"]["herbrand"] == "1"
 
-    def test_each_tate_order_computed_once(self, monkeypatch):
-        # the Herbrand quotient is rendered from the h0 and h1 already computed
-        calls = {"tate_h0": 0, "tate_h1": 0}
-        for name in calls:
-            original = getattr(iwalambda.cohomology, name)
+    def test_one_reduction_per_lattice(self, monkeypatch):
+        # the automorphism check, then coker(sigma-1) and coker(N) once each
+        calls = []
+        original = iwalambda.cohomology.smith_normal_form
 
-            def counted(M, name=name, original=original):
-                calls[name] += 1
-                return original(M)
+        def counted(rows):
+            calls.append(rows)
+            return original(rows)
 
-            for module in (iwalambda.cli, iwalambda.cohomology):
-                monkeypatch.setattr(module, name, counted)
+        monkeypatch.setattr(iwalambda.cohomology, "smith_normal_form", counted)
         rc, out, _ = run_inprocess(["cohomology", "--factors", "3,9", "--sigma", "1,0;0,4", "--order", "3"])
-        assert rc == 0 and json.loads(out)["result"]["herbrand"] == "1"
-        assert calls == {"tate_h0": 1, "tate_h1": 1}
+        assert rc == 0 and json.loads(out)["result"] == {"h0": 3, "h1": 3, "herbrand": "1"}
+        assert len(calls) == 3
+
+    def test_actor_order_10_to_the_12(self):
+        rc, out, err = run_cli("cohomology", "--factors", "3", "--sigma=2", "--order", "1000000000000")
+        assert (rc, err) == (0, "")
+        assert json.loads(out)["result"] == {"h0": 1, "h1": 1, "herbrand": "1"}
+
+
+class TestReflectVerify:
+    @pytest.mark.parametrize(
+        "S, T, sets",
+        [
+            ("3", "7,13", [(7, 13)]),
+            ("3,19", "7,13", [(7, 13), (19,)]),
+            ("7", "3,13", [(7,), (13,)]),
+        ],
+    )
+    def test_one_defect_character_per_tame_set(self, monkeypatch, S, T, sets):
+        # the wild_mirror side's kappa is the defect character the oracle checks
+        calls = []
+        original = iwalambda.defect.defect_character
+
+        def counted(field, primes):
+            calls.append(tuple(primes))
+            return original(field, primes)
+
+        for module in (iwalambda.cli, iwalambda.defect):
+            monkeypatch.setattr(module, "defect_character", counted)
+        rc, out, _ = run_inprocess(["reflect", "--ell", "3", "--conductor", "15", "--S", S, "--T", T, "--verify"])
+        assert rc == 0 and json.loads(out)["oracle_checked"] is True
+        assert calls == sets
+
+
+class TestSimulateDigitLimit:
+    @pytest.mark.parametrize("levels", [("--n", "9100", "--n-min", "9097"), ("--n", "1000000000")])
+    def test_orders_past_the_int_str_limit_exit_4(self, levels):
+        rc, out, err = run_cli("simulate", "--ell", "3", "--mu", "1", *levels)
+        assert (rc, out, err) == (4, "", "error: ell^n has more than 4300 digits\n")
+
+    def test_orders_inside_the_limit(self):
+        rc, out, err = run_cli("simulate", "--ell", "3", "--mu", "1", "--n", "9010", "--n-min", "9009")
+        assert (rc, err) == (0, "")
+        assert json.loads(out)["result"]["orders"][-1] == 3**9010
 
 
 class TestMalformedIntegerLists:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from iwalambda.cohomology import (
     AmbiguousInput,
     FiniteGammaModule,
+    _power_and_norm,
     ambiguous_valuation,
     herbrand_quotient,
     quotient_module,
@@ -16,8 +17,9 @@ from iwalambda.cohomology import (
     tate_h1,
 )
 from iwalambda.errors import InconsistentDataError
-from iwalambda.groups import FiniteAbelianGroup
-from oracles import random_gamma_module, tate_by_enumeration
+from iwalambda.exact import identity_matrix
+from iwalambda.groups import FiniteAbelianGroup, subgroup_generated
+from oracles import mat_mul, random_gamma_module, tate_by_enumeration
 
 
 class TestModuleValidation:
@@ -33,6 +35,35 @@ class TestModuleValidation:
         # map sending the Z/2 generator into an odd multiple of the Z/4 one
         with pytest.raises(ValueError, match="lattice"):
             FiniteGammaModule(FiniteAbelianGroup((2, 4)), ((1, 0), (1, 1)), 2)
+
+
+class TestDoubling:
+    @settings(derandomize=True, max_examples=100)
+    @given(st.randoms(use_true_random=False))
+    def test_norm_and_power_match_iterated_products(self, rng):
+        M = random_gamma_module(rng)
+        d = M.module.invariant_factors
+
+        def reduced(F):
+            return [[x % di for x in row] for row, di in zip(F, d)]
+
+        k = M.module.rank
+        power, norm = identity_matrix(k), [[0] * k for _ in range(k)]
+        for n in range(1, 13):
+            norm = [[x + y for x, y in zip(r, s)] for r, s in zip(norm, power)]
+            power = mat_mul(power, M.sigma)
+            assert _power_and_norm(M.sigma, n, d) == (reduced(power), reduced(norm))
+            if n == M.order_n:
+                assert M.norm_matrix() == reduced(norm)
+
+    def test_stable_submodule_at_order_10_to_the_12(self):
+        # sigma swaps the two Z/3 coordinates: order 2, and 2 | 10^12
+        G, swap = FiniteAbelianGroup((3, 3)), ((0, 1), (1, 0))
+        small, H_small = stable_submodule(FiniteGammaModule(G, swap, 2), [(1, 0)])
+        big, H_big = stable_submodule(FiniteGammaModule(G, swap, 10**12), [(1, 0)])
+        assert H_big == H_small == subgroup_generated(G, [(1, 0), (0, 1)])
+        assert (big.module, big.sigma) == (small.module, small.sigma)
+        assert (tate_h0(big), tate_h1(big)) == (1, 1)
 
 
 class TestTate:
