@@ -63,7 +63,7 @@ _EXPORTS_BY_MODULE = {
         "PrimeSetError",
         "ScaleError",
     ),
-    "exact": ("IntMatrix", "crt", "mult_order", "smith_normal_form", "valuation"),
+    "exact": ("crt", "mult_order", "smith_normal_form", "valuation"),
     "fields": ("FieldSpec", "field_spec"),
     "groups": (
         "FiniteAbelianGroup",

@@ -88,9 +88,19 @@ def _render_field(field: FieldSpec) -> dict:
 
 
 def _emit(payload: dict, fmt: str) -> None:
+    """Write the payload; every int is converted to decimal before the first
+    byte goes out, so one past sys.get_int_max_str_digits() is a ScaleError
+    with nothing on stdout."""
+    try:
+        text = _render_text(payload, fmt)
+    except ValueError:  # the int-to-str digit limit, the only ValueError here
+        raise ScaleError(f"an output integer has more than {sys.get_int_max_str_digits()} digits") from None
+    sys.stdout.write(text)
+
+
+def _render_text(payload: dict, fmt: str) -> str:
     if fmt == "json":
-        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        return
+        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
     # aligned two-column text, deterministic ordering
     rows: list[tuple[str, str]] = []
 
@@ -105,8 +115,7 @@ def _emit(payload: dict, fmt: str) -> None:
 
     walk("", payload)
     width = max((len(k) for k, _ in rows), default=0)
-    for k, v in rows:
-        sys.stdout.write(f"{k.ljust(width)}  {v}\n")
+    return "".join(f"{k.ljust(width)}  {v}\n" for k, v in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +282,8 @@ def cmd_simulate(args) -> dict:
     polys = tuple(parse_poly(p) for p in (args.poly or ()))
     try:
         spec = ElementaryModuleSpec(int(args.ell), rho=args.rho, polys=polys, mus=_int_list(args.mu))
+    except IwalambdaError:
+        raise
     except ValueError as exc:
         raise IwalambdaError(str(exc)) from exc
     n_min, n_max = args.n_min, args.n
@@ -353,7 +364,12 @@ def cmd_cohomology(args) -> dict:
 class _Parser(argparse.ArgumentParser):
     """Usage errors exit 1 with one "error:" line through main, not with
     argparse's usage block and exit 2 (the code of an invalid field);
-    add_subparsers builds the subcommand parsers from this class too."""
+    add_subparsers builds the subcommand parsers from this class too.
+    Flags must be spelled in full, so the config pre-pass in main sees
+    exactly the flags that argparse will read."""
+
+    def __init__(self, *args, allow_abbrev=False, **kwargs):
+        super().__init__(*args, allow_abbrev=allow_abbrev, **kwargs)
 
     def error(self, message):
         raise IwalambdaError(message)

@@ -12,6 +12,8 @@ from __future__ import annotations
 from math import gcd
 from operator import attrgetter
 
+from .errors import ScaleError
+
 
 # ---------------------------------------------------------------------------
 # immutable value records
@@ -63,13 +65,18 @@ class Record:
 # ---------------------------------------------------------------------------
 # primes and factorization
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# the least strong pseudoprime to all of _MR_BASES (about 3.3e24)
+_MR_EXACT_BELOW = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin (the 12-base set is exact below 3.3e24)."""
+    """Deterministic Miller-Rabin with the 13 prime bases 2..41, exact below
+    3317044064679887385961981; ScaleError at and above that bound."""
     if n < 2:
         return False
+    if n >= _MR_EXACT_BELOW:
+        raise ScaleError(f"primality test is exact only below {_MR_EXACT_BELOW}")
     for p in _MR_BASES:
         if n == p:
             return True
@@ -174,28 +181,6 @@ def crt(residues: list[int], moduli: list[int]) -> int:
 
 # ---------------------------------------------------------------------------
 # integer matrices and Smith normal form
-
-class IntMatrix(Record):
-    """Dense integer matrix, row-major, exact entries."""
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, rows: int, cols: int, entries: tuple[tuple[int, ...], ...]):
-        if rows < 0 or cols < 0:
-            raise ValueError("matrix dimensions must be nonnegative")
-        if len(entries) != rows or any(len(r) != cols for r in entries):
-            raise ValueError("entry shape does not match declared dimensions")
-        self._set_fields(rows, cols, entries)
-
-    @classmethod
-    def from_rows(cls, rows: list[list[int]]) -> "IntMatrix":
-        n = len(rows)
-        m = len(rows[0]) if rows else 0
-        return cls(n, m, tuple(tuple(int(x) for x in r) for r in rows))
-
-    def to_rows(self) -> list[list[int]]:
-        return [list(r) for r in self.entries]
-
 
 def diagonal_matrix(d) -> list[list[int]]:
     n = len(d)
@@ -323,14 +308,14 @@ def _snf_with_transform(rows: list[list[int]]) -> tuple[list[int], list[list[int
     return d, U, Uinv
 
 
-def smith_normal_form(m: IntMatrix | list[list[int]]) -> tuple[int, ...]:
+def smith_normal_form(m: list[list[int]]) -> tuple[int, ...]:
     """Elementary divisors d_1 | d_2 | ... of an integer matrix.
 
     The tuple has min(rows, cols) entries; trailing zeros are free cokernel
     factors.  The cokernel of M is the direct sum of Z/d_i plus one Z per
     row beyond the rank.
     """
-    rows = m.to_rows() if isinstance(m, IntMatrix) else [list(r) for r in m]
+    rows = [list(r) for r in m]
     if not rows or not rows[0]:
         return ()
     d, _, _ = _snf_with_transform(rows)

@@ -74,20 +74,6 @@ def omega_poly(ell: int, n: int) -> tuple[int, ...]:
     return tuple(comb(d, k) if k else 0 for k in range(d + 1))
 
 
-def _poly_mod_omega(f: tuple[int, ...], ell: int, n: int) -> list[int]:
-    """Reduce f modulo omega_n (monic), returning dim = ell^n coefficients."""
-    dim = ell**n
-    omega = omega_poly(ell, n)
-    work = list(f)
-    for k in range(len(work) - 1, dim - 1, -1):
-        c = work[k]
-        if c:
-            for j in range(dim + 1):
-                work[k - dim + j] -= c * omega[j]
-    work = work[:dim]
-    return work + [0] * (dim - len(work))
-
-
 def _mult_matrix_mod(f: tuple[int, ...], ell: int, n: int, q: int | None) -> list[list[int]]:
     """Matrix of multiplication by f on Z[T]/(omega_n), entries mod q
     (exact integers when q is None)."""
@@ -96,15 +82,20 @@ def _mult_matrix_mod(f: tuple[int, ...], ell: int, n: int, q: int | None) -> lis
     red = lambda x: x % q if q is not None else x
     # T^dim = -sum_{1<=j<dim} C(dim, j) T^j  (mod omega_n)
     fold = [0] + [red(-omega[j]) for j in range(1, dim)]
-    col = [red(c) for c in _poly_mod_omega(f, ell, n)]
+
+    def times_t(col: list[int]) -> list[int]:
+        top = col[-1]
+        nxt = [0] + col[:-1]
+        return [red(a + top * b) for a, b in zip(nxt, fold)] if top else nxt
+
+    # column 0 is f mod omega_n, by Horner over f's coefficients
+    col = [0] * dim
+    for c in reversed(f):
+        col = times_t(col)
+        col[0] = red(col[0] + c)
     cols = [col]
     for _ in range(dim - 1):
-        prev = cols[-1]
-        top = prev[-1]
-        nxt = [0] + prev[:-1]
-        if top:
-            nxt = [red(a + top * b) for a, b in zip(nxt, fold)]
-        cols.append(nxt)
+        cols.append(times_t(cols[-1]))
     return transpose(cols)
 
 
@@ -152,7 +143,7 @@ def level_order(spec: ElementaryModuleSpec, n: int, exponent_offset: int = 0) ->
 
 
 class LevelOrderTable(Record):
-    """Map n -> x(n) on consecutive levels; x is nondecreasing.
+    """Map n -> x(n) on consecutive nonnegative levels; x is nondecreasing.
 
     entries is a read-only view of a private copy, so the checks below
     hold for the table's whole life.
@@ -163,6 +154,8 @@ class LevelOrderTable(Record):
     def __init__(self, entries: dict[int, int] | None = None):
         entries = dict(entries or {})
         ns = sorted(entries)
+        if ns and ns[0] < 0:
+            raise ValueError("levels must be nonnegative")
         if ns and ns != list(range(ns[0], ns[0] + len(ns))):
             raise ValueError("levels must be consecutive")
         for a, b in zip(ns, ns[1:]):
@@ -195,45 +188,39 @@ class FitParameters(Record):
         return self.rho * n * ell**n + self.mu * ell**n + self.lam * n + self.nu
 
 
-def _det(M: list[list[int]]) -> int:
-    """Determinant by cofactor expansion along the first row (4 x 4 here)."""
-    if len(M) == 1:
-        return M[0][0]
-    return sum(
-        (-1) ** j * M[0][j] * _det([row[:j] + row[j + 1 :] for row in M[1:]])
-        for j in range(len(M))
-        if M[0][j]
-    )
-
-
 def fit_parameters(table: LevelOrderTable, ell: int) -> FitParameters | None:
     """Solve x(n) = rho*n*ell^n + mu*ell^n + lambda*n + nu on the last four
     levels; None means "not yet stable".
 
-    The solution must be integral with rho, mu, lambda >= 0, and must also
-    reproduce the level preceding the window when the table has one.
+    The second difference x(n+2) - 2x(n+1) + x(n) removes lambda*n + nu and
+    equals ell^n (ell-1) w(n) with w(n) = rho (n(ell-1) + 2 ell) + mu (ell-1),
+    so w at the first two window levels gives rho and mu, and the first two
+    values then give lambda and nu.  A nonzero remainder in any division
+    means the (unique) rational solution is not integral.  The solution
+    must also have rho, mu, lambda >= 0 and reproduce the level preceding
+    the window when the table has one.
     """
     ns = table.levels()
     if len(ns) < 4:
         raise ValueError("table must contain at least 4 consecutive levels")
-    window = ns[-4:]
-    A = [[n * ell**n, ell**n, n, 1] for n in window]
-    b = [table.entries[n] for n in window]
-    # Cramer's rule over Z: x_i = det(A with column i replaced by b) / det(A)
-    det = _det(A)
-    if det == 0:
+    n0 = ns[-4]
+    x0, x1, x2, x3 = (table.entries[n] for n in ns[-4:])
+    d = ell - 1
+    w0, r0 = divmod(x2 - 2 * x1 + x0, ell**n0 * d)
+    w1, r1 = divmod(x3 - 2 * x2 + x1, ell ** (n0 + 1) * d)
+    rho, r2 = divmod(w1 - w0, d)
+    mu, r3 = divmod(w0 - rho * (n0 * d + 2 * ell), d)
+    if r0 or r1 or r2 or r3:
         return None
-    sol = []
-    for i in range(4):
-        num = _det([row[:i] + [y] + row[i + 1 :] for row, y in zip(A, b)])
-        if num % det != 0:
-            return None
-        sol.append(num // det)
-    rho, mu, lam, nu = sol
+    # x(n) - (rho n + mu) ell^n = lambda n + nu at n0 and n0 + 1
+    y0 = x0 - (rho * n0 + mu) * ell**n0
+    y1 = x1 - (rho * (n0 + 1) + mu) * ell ** (n0 + 1)
+    lam = y1 - y0
+    nu = y0 - lam * n0
     if rho < 0 or mu < 0 or lam < 0:
         return None
     fitted = FitParameters(rho, mu, lam, nu)
-    prev = window[0] - 1
+    prev = n0 - 1
     if prev in table.entries and fitted.predict(ell, prev) != table.entries[prev]:
         return None
     return fitted

@@ -14,6 +14,7 @@ from fractions import Fraction
 
 from iwalambda.characters import VirtualChar, all_abs_chars
 from iwalambda.cohomology import FiniteGammaModule
+from iwalambda.exact import smith_normal_form
 from iwalambda.groups import FiniteAbelianGroup, Subgroup
 from iwalambda.iwasawa import FitParameters, LevelOrderTable
 from iwalambda.splitting import decomposition_data
@@ -248,3 +249,25 @@ def fit_parameters_by_elimination(table: LevelOrderTable, ell: int) -> FitParame
     if prev in table.entries and fitted.predict(ell, prev) != table.entries[prev]:
         return None
     return fitted
+
+
+def _mod_monic(a: list[int], f: tuple[int, ...]) -> list[int]:
+    """a mod f by schoolbook long division (f monic, ascending coefficients)."""
+    a, k = list(a), len(f) - 1
+    for top in range(len(a) - 1, k - 1, -1):
+        c = a[top]
+        for j in range(k + 1):
+            a[top - k + j] -= c * f[j]
+    return (a + [0] * k)[:k]
+
+
+def poly_level_valuation_weierstrass(f: tuple[int, ...], ell: int, n: int, cap: int) -> int:
+    """log_ell |Z[T]/(f, omega_n, ell^cap)| with the quotient by f taken
+    first: the Smith form of multiplication by omega_n mod f on Z[T]/(f),
+    a deg f x deg f matrix, stacked with ell^cap times the basis.  Shares
+    no code with the omega_n-side matrix build."""
+    k, d = len(f) - 1, ell**n
+    omega = _mod_monic([math.comb(d, j) if j else 0 for j in range(d + 1)], f)
+    cols = [_mod_monic([0] * j + omega, f) for j in range(k)]  # omega * T^j mod f
+    rows = [[col[i] for col in cols] + [ell**cap if c == i else 0 for c in range(k)] for i in range(k)]
+    return sum(valuation_by_division(x, ell) for x in smith_normal_form(rows))

@@ -304,6 +304,37 @@ class TestSimulateDigitLimit:
         assert (rc, err) == (0, "")
         assert json.loads(out)["result"]["orders"][-1] == 3**9010
 
+    @pytest.mark.parametrize("fmt", ["json", "table"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # ell^n fits, but the order 100 * 3^9010 has 4302 digits
+            ("simulate", "--ell", "3", "--mu", "100", "--n", "9010", "--n-min", "9009"),
+            ("ambig", "--class-val", "9" * 4300, "--ram", "9" * 4300, "--deg", "0"),
+        ],
+        ids=["simulate", "ambig"],
+    )
+    def test_printed_integer_past_the_limit_exit_4(self, argv, fmt):
+        rc, out, err = run_inprocess([*argv, "--format", fmt])
+        assert (rc, out, err) == (4, "", "error: an output integer has more than 4300 digits\n")
+
+
+class TestPrimalityRange:
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            # a strong pseudoprime to the bases 2..37, composite
+            (("lambda", "--ell", "3", "--conductor", "3", "--primes", "318665857834031151167461"), 3),
+            # 2^89 - 1 is prime, but past the range where the test is exact
+            (("lambda", "--ell", "3", "--conductor", "3", "--primes", "618970019642690137449562111"), 4),
+            (("simulate", "--ell", "3317044064679887385961981", "--rho", "1", "--n", "2"), 4),
+        ],
+    )
+    def test_exit_code_with_one_error_line(self, argv, code):
+        rc, out, err = run_inprocess(list(argv))
+        assert (rc, out) == (code, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
 
 class TestMalformedIntegerLists:
     @pytest.mark.parametrize(
@@ -460,6 +491,17 @@ class TestConfigAndFormats:
         cfg.write_text("ell = 3\nconductor = 3\nprimes = 7,13\n")
         rc, out, _ = run_cli("defect", "--config", str(cfg), "--primes", "2")
         assert json.loads(out)["result"] == {}
+
+    def test_config_value_beaten_by_full_flag_only(self, tmp_path):
+        cfg = tmp_path / "job.cfg"
+        cfg.write_text("primes = 13\n")
+        field = ["defect", "--ell", "3", "--conductor", "3"]
+        rc, out, _ = run_inprocess([*field, "--config", str(cfg), "--primes", "7"])
+        assert rc == 0 and json.loads(out)["input"]["S"] == [7]
+        for argv in ([*field, "--config", str(cfg), "--prim", "7"], [*field, "--conf", str(cfg)]):
+            rc, out, err = run_inprocess(argv)
+            assert (rc, out) == (1, "")
+            assert err.startswith("error: unrecognized arguments: --") and len(err.splitlines()) == 1
 
     def test_table_format(self):
         rc, out, _ = run_cli(

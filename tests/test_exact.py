@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from iwalambda.errors import ScaleError
 from iwalambda.exact import (
-    IntMatrix,
     Record,
     _snf_with_transform,
     crt,
@@ -101,13 +101,6 @@ class TestSmith:
         assert smith_normal_form([[2, 4], [6, 8]]) == (2, 4)
         assert smith_normal_form([[0]]) == (0,)
 
-    def test_int_matrix_carrier(self):
-        m = IntMatrix.from_rows([[2, 4], [6, 8]])
-        assert m.rows == 2 and m.cols == 2
-        assert smith_normal_form(m) == (2, 4)
-        with pytest.raises(ValueError):
-            IntMatrix(1, 2, ((1,),))
-
     def test_chain_and_determinant(self):
         rng = random.Random(2)
         for _ in range(60):
@@ -158,6 +151,17 @@ def test_is_prime_small():
     assert not is_prime(2**32 + 1)
 
 
+def test_is_prime_large():
+    assert is_prime(2**61 - 1)
+    # the least strong pseudoprime to the twelve prime bases 2..37
+    assert not is_prime(318665857834031151167461)  # = 399165290221 * 798330580441
+    assert not is_prime(3317044064679887385961980)  # the last number still answered
+    # the least strong pseudoprime to the thirteen bases 2..41: past the exact range
+    for n in (3317044064679887385961981, 2**89 - 1):
+        with pytest.raises(ScaleError):
+            is_prime(n)
+
+
 def test_factorize_roundtrip():
     rng = random.Random(4)
     for _ in range(80):
@@ -180,7 +184,6 @@ RECORDS = [
     (AbsChar(G26, (1, 4)), ("group", "coeffs")),
     (LadicChar(G26, 5, (AbsChar(G26, (0, 1)), AbsChar(G26, (0, 5))), "imaginary"),
      ("group", "ell", "orbit", "parity")),
-    (IntMatrix(2, 3, ((1, 2, 3), (4, 5, 6))), ("rows", "cols", "entries")),
     (FiniteGammaModule(FiniteAbelianGroup((3,)), ((2,),), 2), ("module", "sigma", "order_n")),
     (AmbiguousInput(2, (1, 0), 1, 0), ("h", "ram", "deg", "unit_index")),
     (ElementaryModuleSpec(3, rho=1, polys=((3, 1),), mus=(2,)), ("ell", "rho", "polys", "mus")),

@@ -1,10 +1,13 @@
-"""The package namespace loads its layers on first use (PEP 562).
+"""The package namespace loads its layers on first use (PEP 562), and its
+source holds no floating point.
 
-Each check runs in a fresh interpreter, because this test process has
-long since imported every layer.
+Each namespace check runs in a fresh interpreter, because this test
+process has long since imported every layer.
 """
 
+import ast
 import os
+import pathlib
 import subprocess
 import sys
 import textwrap
@@ -108,3 +111,32 @@ class TestLazyNamespace:
     def test_cli_loads_every_traced_module(self):
         loaded = loaded_after("import iwalambda.cli")
         assert {f"iwalambda.{name}" for name in TRACED} <= loaded
+
+
+def float_sites(tree: ast.AST) -> list[tuple[int, str]]:
+    """True division, float literals and float(...) calls in a module."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+            found.append((node.lineno, "true division"))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            found.append((node.lineno, f"literal {node.value!r}"))
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float":
+            found.append((node.lineno, "float() call"))
+    return found
+
+
+class TestNoFloatingPoint:
+    def test_guard_sees_each_form(self):
+        code = "a = 1 / 2\nb //= 2\nb /= 2\nc = 0.5\nd = float(3)\ne = 7 // 2\n"
+        assert sorted(line for line, _ in float_sites(ast.parse(code))) == [1, 3, 4, 5]
+
+    def test_package_source(self):
+        files = sorted(pathlib.Path(SRC, "iwalambda").rglob("*.py"))
+        assert len(files) > 10
+        sites = {
+            str(path.relative_to(SRC)): hits
+            for path in files
+            if (hits := float_sites(ast.parse(path.read_text(encoding="utf-8"))))
+        }
+        assert sites == {}
