@@ -1,8 +1,14 @@
-"""The reduction kernel: valuation-pivot elimination over the chain ring
-Z/ell^n, in plain Python with no dependencies.
+"""The reduction kernel.
+
+The hot loop of the whole package is the elementary-divisor reduction of
+an integer matrix over Z/ell^n (a chain ring, so valuation-pivot Gaussian
+elimination is a complete algorithm).  It is plain Python with no
+dependencies; BACKEND names it for benchmark records.
 """
 
 from __future__ import annotations
+
+BACKEND = "python"
 
 
 def snf_mod_valuations(rows: list[list[int]], ell: int, n: int) -> list[int]:

@@ -16,7 +16,7 @@ from functools import lru_cache
 from .errors import FieldError
 from .exact import Record
 from .fields import FieldSpec
-from .groups import FiniteAbelianGroup, GroupElement, Subgroup
+from .groups import FiniteAbelianGroup, GroupElement, Subgroup, _primitive_root
 
 REAL = "real"
 IMAGINARY = "imaginary"
@@ -126,21 +126,18 @@ class LadicChar(Record):
         return len(self.orbit)
 
     @classmethod
-    def from_abs(cls, chi: AbsChar, ell: int, tau_bar: GroupElement | None = None) -> "LadicChar":
+    def from_abs(cls, chi: AbsChar, ell: int, tau_bar: GroupElement) -> "LadicChar":
         orbit = {chi}
         cur = chi.frobenius(ell)
         while cur not in orbit:
             orbit.add(cur)
             cur = cur.frobenius(ell)
         members = tuple(sorted(orbit, key=lambda c: c.coeffs))
-        parity = None
-        if tau_bar is not None:
-            e = chi.group.exponent
-            vals = {parity_of_value(m.value_at(tau_bar), e) for m in members}
-            if len(vals) != 1:
-                raise FieldError("orbit mixes parities; tau_bar is not an involution")
-            parity = vals.pop()
-        return cls(chi.group, ell, members, parity)
+        e = chi.group.exponent
+        parities = {parity_of_value(m.value_at(tau_bar), e) for m in members}
+        if len(parities) != 1:
+            raise FieldError("orbit mixes parities; tau_bar is not an involution")
+        return cls(chi.group, ell, members, parities.pop())
 
 
 def all_ladic_chars(delta: FiniteAbelianGroup, ell: int, tau_bar: GroupElement) -> list[LadicChar]:
@@ -186,12 +183,12 @@ class VirtualChar:
         return cls(group, {trivial_char(group): 1})
 
     @classmethod
-    def from_abs(cls, chi: AbsChar, mult: int = 1) -> "VirtualChar":
-        return cls(chi.group, {chi: mult})
+    def from_abs(cls, chi: AbsChar) -> "VirtualChar":
+        return cls(chi.group, {chi: 1})
 
     @classmethod
-    def from_ladic(cls, phi: LadicChar, mult: int = 1) -> "VirtualChar":
-        return cls(phi.group, {chi: mult for chi in phi.orbit})
+    def from_ladic(cls, phi: LadicChar) -> "VirtualChar":
+        return cls(phi.group, dict.fromkeys(phi.orbit, 1))
 
     # inspection
     def multiplicity(self, chi: AbsChar) -> int:
@@ -321,13 +318,6 @@ def parity_split(x: VirtualChar, tau_bar: GroupElement) -> tuple[VirtualChar, Vi
 # Teichmueller character and the mirror involution
 
 @lru_cache(maxsize=None)
-def _least_primitive_root(ell: int) -> int:
-    from .groups import _primitive_root
-
-    return _primitive_root(ell)
-
-
-@lru_cache(maxsize=None)
 def teichmuller(field: FieldSpec) -> LadicChar:
     """The character through which Delta acts on the ell-th roots of unity.
 
@@ -343,7 +333,7 @@ def teichmuller(field: FieldSpec) -> LadicChar:
     e = delta.exponent
     if e % (ell - 1) != 0:
         raise AssertionError("exponent of Delta not divisible by ell - 1")
-    g = _least_primitive_root(ell)
+    g = _primitive_root(ell)
     dlog_ell = {pow(g, j, ell): j for j in range(ell - 1)}
     scale = e // (ell - 1)
     omega = AbsChar.from_values(

@@ -291,10 +291,12 @@ def cmd_simulate(args) -> dict:
         raise IwalambdaError("--n must be at least --n-min")
     if n_min < 0 or args.offset < 0:
         raise IwalambdaError("--n-min and --offset must be nonnegative")
-    # the orders, of the size of ell^n_max, print in decimal; ell >= 2^(bit_length-1)
-    # and 16^limit > 10^limit, so deep levels fail the first test without ell^n_max
+    # the orders, of the size of ell^n_max, print in decimal, and a polynomial
+    # summand is reduced mod ell^(n_max + offset); ell >= 2^(bit_length-1) and
+    # 16^limit > 10^limit, so deep exponents fail the first test without ell^e
+    e = n_max + args.offset if spec.polys else n_max
     limit = getattr(sys, "get_int_max_str_digits", int)()  # 0 or absent: no limit
-    if limit and (n_max * (spec.ell.bit_length() - 1) >= 4 * limit or spec.ell**n_max >= 10**limit):
+    if limit and (e * (spec.ell.bit_length() - 1) >= 4 * limit or spec.ell**e >= 10**limit):
         raise ScaleError(f"ell^n has more than {limit} digits")
     table = level_order_table(spec, n_min, n_max, exponent_offset=args.offset)
     fit = fit_parameters(table, spec.ell) if len(table.entries) >= 4 else None

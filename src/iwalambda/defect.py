@@ -158,11 +158,11 @@ def defect_character(field: FieldSpec, S) -> VirtualChar:
     """
     field.require_mirror_valid()
     S = _validate_tame(field, S)
-    result = VirtualChar.zero(field.delta)
+    mults = {}
     for phi, weights in _imaginary_s_phi_weights(field, S):
         if weights:
-            result = result + max(weights) * VirtualChar.from_ladic(phi)
-    return result
+            mults.update(dict.fromkeys(phi.orbit, max(weights)))
+    return VirtualChar(field.delta, mults)
 
 
 def defect_oracle(field: FieldSpec, S) -> VirtualChar:
@@ -231,12 +231,11 @@ def lambda_shift_real(field: FieldSpec, S) -> LambdaExpr:
     """
     field.require_mirror_valid()
     S = _validate_tame(field, S)
-    shift = VirtualChar.zero(field.delta)
+    mults = {}
     for phi, weights in _imaginary_s_phi_weights(field, S):
-        coeff = sum(weights) - max(weights) if weights else 0
-        if coeff:
-            shift = shift + coeff * mirror(VirtualChar.from_ladic(phi), field)
-    return LambdaExpr({BaseSymbol.LAMBDA_REAL: 1}, shift)
+        if weights:
+            mults.update(dict.fromkeys(phi.orbit, sum(weights) - max(weights)))
+    return LambdaExpr({BaseSymbol.LAMBDA_REAL: 1}, mirror(VirtualChar(field.delta, mults), field))
 
 
 def lambda_shift_imaginary(field: FieldSpec, S) -> LambdaExpr:

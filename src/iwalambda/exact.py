@@ -82,6 +82,8 @@ def is_prime(n: int) -> bool:
             return True
         if n % p == 0:
             return False
+    if n < 43 * 43:  # a composite this small has a prime factor up to 41
+        return True
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2

@@ -231,21 +231,15 @@ def _subgroup_structure(H: Subgroup):
         if any(x % d1[i] for x in C[i]):
             raise AssertionError("subgroup lattice does not contain the relations")
         C[i] = [x // d1[i] for x in C[i]]
-    d2, U2, U2inv = _snf_with_transform(C)
-    slots = [i for i, s in enumerate(d2) if s >= 2]
-    T = FiniteAbelianGroup(d2[i] for i in slots)
-
-    # abstract basis vector j -> lattice point B * U2^{-1} e_slot(j), reduced mod d
-    gens_in_parent = [
-        G.element(sum(U1inv[r][j] * d1[j] * U2inv[j][i] for j in range(k)) for r in range(k))
-        for i in slots
-    ]
+    # H = L'/L is Z^k modulo the columns of C in the basis of L', so P
+    # presents it, and B carries a lift in that basis into the parent
+    P = Quotient(transpose(C))
+    T = P.group
+    B = [[U1inv[r][j] * d1[j] for j in range(k)] for r in range(k)]
 
     def to_parent(el: GroupElement) -> GroupElement:
-        x = G.identity()
-        for c, g in zip(el.coords, gens_in_parent):
-            x = x + c * g
-        return x
+        x = P.lift(el)
+        return G.element(sum(b * c for b, c in zip(row, x)) for row in B)
 
     from_parent = {}
     for el in T.elements():

@@ -12,7 +12,8 @@ The polynomial summands need the elementary divisors of multiplication
 by f on the lattice Z[T]/(omega_n); capping at exponent ell^N means the
 reduction can run entirely over Z/ell^N, which is what the reduction
 kernel does.  An independent construction (integer Smith form of the
-stacked relation lattice) is exposed for cross-checking.
+Sylvester lattice of f and omega_n, which shares no code with the
+multiplication matrix) is exposed for cross-checking.
 """
 
 from __future__ import annotations
@@ -74,25 +75,23 @@ def omega_poly(ell: int, n: int) -> tuple[int, ...]:
     return tuple(comb(d, k) if k else 0 for k in range(d + 1))
 
 
-def _mult_matrix_mod(f: tuple[int, ...], ell: int, n: int, q: int | None) -> list[list[int]]:
-    """Matrix of multiplication by f on Z[T]/(omega_n), entries mod q
-    (exact integers when q is None)."""
+def _mult_matrix_mod(f: tuple[int, ...], ell: int, n: int, q: int) -> list[list[int]]:
+    """Matrix of multiplication by f on Z[T]/(omega_n), entries mod q."""
     dim = ell**n
     omega = omega_poly(ell, n)
-    red = lambda x: x % q if q is not None else x
     # T^dim = -sum_{1<=j<dim} C(dim, j) T^j  (mod omega_n)
-    fold = [0] + [red(-omega[j]) for j in range(1, dim)]
+    fold = [0] + [-omega[j] % q for j in range(1, dim)]
 
     def times_t(col: list[int]) -> list[int]:
         top = col[-1]
         nxt = [0] + col[:-1]
-        return [red(a + top * b) for a, b in zip(nxt, fold)] if top else nxt
+        return [(a + top * b) % q for a, b in zip(nxt, fold)] if top else nxt
 
     # column 0 is f mod omega_n, by Horner over f's coefficients
     col = [0] * dim
     for c in reversed(f):
         col = times_t(col)
-        col[0] = red(col[0] + c)
+        col[0] = (col[0] + c) % q
     cols = [col]
     for _ in range(dim - 1):
         cols.append(times_t(cols[-1]))
@@ -107,13 +106,21 @@ def poly_level_valuations(f: tuple[int, ...], ell: int, n: int, cap: int) -> lis
 
 
 def poly_level_valuation_direct(f: tuple[int, ...], ell: int, n: int, cap: int) -> int:
-    """Independent construction: integer Smith form of the full relation
-    lattice (columns f*T^j mod omega_n together with ell^cap times the
-    basis); returns the summed ell-valuation of the divisors."""
+    """Independent construction: integer Smith form of the Sylvester lattice.
+
+    Z[T]/(f, omega_n) is Z^N (N = ell^n + deg f, the polynomials of degree
+    < N) modulo the shifts T^j f (j < ell^n) and T^i omega_n (i < deg f);
+    omega_n is monic, so these span every element of the ideal of degree
+    < N and nothing is reduced.  Stacked beside ell^cap times the basis,
+    the summed ell-valuation of the divisors is the capped order.
+    """
     dim = ell**n
-    q = ell**cap
-    mult = _mult_matrix_mod(f, ell, n, None)
-    rows = [r + s for r, s in zip(mult, diagonal_matrix([q] * dim))]
+    deg = len(f) - 1
+    size = dim + deg
+    omega = omega_poly(ell, n)
+    shifts = [[0] * j + list(f) + [0] * (dim - 1 - j) for j in range(dim)]
+    shifts += [[0] * i + list(omega) + [0] * (deg - 1 - i) for i in range(deg)]
+    rows = [r + s for r, s in zip(transpose(shifts), diagonal_matrix([ell**cap] * size))]
     return sum(valuation(d, ell) for d in smith_normal_form(rows) if d != 0)
 
 

@@ -134,8 +134,4 @@ def chi_p(field: FieldSpec, p: int) -> VirtualChar:
 
 def chi_S(field: FieldSpec, S) -> VirtualChar:
     """Sum of the weighted inductions over the places of S; empty S gives 0."""
-    S = validate_prime_set(S)
-    total = VirtualChar.zero(field.delta)
-    for p in S:
-        total = total + chi_p(field, p)
-    return total
+    return sum((chi_p(field, p) for p in validate_prime_set(S)), VirtualChar.zero(field.delta))

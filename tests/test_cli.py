@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import iwalambda.cli
 import iwalambda.cohomology
 import iwalambda.defect
+import iwalambda.iwasawa
 from iwalambda.cli import main, parse_poly
 from oracles import primes_below
 
@@ -217,6 +218,20 @@ class TestSimulate:
         data = json.loads(out)
         assert rc == 0 and data["oracle_checked"] is True
 
+    def test_verify_catches_a_wrong_matrix_build(self, monkeypatch):
+        # a mutant whose column 0 truncates f instead of reducing it mod
+        # omega_n; deg f = ell^n here, so the truncation drops T^3
+        original = iwalambda.iwasawa._mult_matrix_mod
+
+        def truncating(f, ell, n, q):
+            return original(f[: ell**n], ell, n, q)
+
+        monkeypatch.setattr(iwalambda.iwasawa, "_mult_matrix_mod", truncating)
+        argv = ["simulate", "--ell", "3", "--poly", "T^3-6T^2-6T", "--n", "1", "--offset", "1"]
+        assert run_inprocess(argv)[0] == 0
+        rc, out, err = run_inprocess([*argv, "--verify"])
+        assert (rc, out, err) == (1, "", "internal check failed: relation-lattice construction disagrees\n")
+
     def test_unstable_reported(self):
         rc, out, _ = run_cli("simulate", "--ell", "3", "--mu", "2", "--n", "5", "--n-min", "1")
         assert json.loads(out)["result"]["fit"] == "not yet stable"
@@ -298,6 +313,20 @@ class TestSimulateDigitLimit:
     def test_orders_past_the_int_str_limit_exit_4(self, levels):
         rc, out, err = run_cli("simulate", "--ell", "3", "--mu", "1", *levels)
         assert (rc, out, err) == (4, "", "error: ell^n has more than 4300 digits\n")
+
+    def test_polynomial_modulus_past_the_limit_exit_4(self):
+        # the kernel reduces mod ell^(n + offset), so the offset counts
+        rc, out, err = run_inprocess(["simulate", "--ell", "3", "--poly", "T+3", "--n", "3", "--offset", "1000000"])
+        assert (rc, out, err) == (4, "", "error: ell^n has more than 4300 digits\n")
+
+    def test_offsets_inside_the_limit(self):
+        rc, out, err = run_inprocess(["simulate", "--ell", "3", "--mu", "1", "--n", "3", "--offset", "1000000"])
+        assert (rc, err) == (0, "")
+        assert json.loads(out)["result"]["orders"] == [1, 3, 9, 27]
+        argv = ["simulate", "--ell", "3", "--poly", "T^3+3T+3", "--n", "5", "--offset", "9000"]
+        rc, out, err = run_inprocess(argv)
+        assert (rc, err) == (0, "")
+        assert json.loads(out)["result"]["fit"] == {"rho": 0, "mu": 0, "lambda": 3, "nu": 0}
 
     def test_orders_inside_the_limit(self):
         rc, out, err = run_cli("simulate", "--ell", "3", "--mu", "1", "--n", "9010", "--n-min", "9009")

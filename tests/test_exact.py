@@ -22,7 +22,7 @@ from iwalambda.characters import AbsChar, LadicChar
 from iwalambda.cohomology import AmbiguousInput, FiniteGammaModule
 from iwalambda.groups import FiniteAbelianGroup, GroupElement
 from iwalambda.iwasawa import ElementaryModuleSpec, FitParameters, LevelOrderTable
-from oracles import det_by_cofactors, determinantal_divisors, order_by_powering, valuation_by_division
+from oracles import det_by_cofactors, determinantal_divisors, order_by_powering, primes_below, valuation_by_division
 
 
 class TestValuation:
@@ -149,6 +149,12 @@ def test_is_prime_small():
     ]
     assert is_prime(2**31 - 1)
     assert not is_prime(2**32 + 1)
+
+
+def test_is_prime_matches_the_sieve():
+    # trial division by 2..41 decides below 43^2 = 1849; 1849 and
+    # 2021 = 43 * 47 are the first composites it leaves to Miller-Rabin
+    assert [n for n in range(5000) if is_prime(n)] == primes_below(5000)
 
 
 def test_is_prime_large():

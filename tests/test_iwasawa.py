@@ -182,8 +182,9 @@ class TestDualConstruction:
     def test_poly_summand_agreement_property(self, case):
         # degrees up to 5 pass ell^n at shallow levels, so column 0 needs
         # the reduction of f mod omega_n; cap above n leaves ell^n torsion.
-        # Both omega_n-side routes read _mult_matrix_mod; the f-side oracle
-        # does not, so it checks the matrix build itself.
+        # Only the kernel route reads _mult_matrix_mod: the direct route
+        # reduces the Sylvester lattice of f and omega_n, and the f-side
+        # oracle works in Z[T]/(f), so both check the matrix build itself.
         ell, n, extra, lower = case
         f = tuple(ell * c for c in lower) + (1,)
         cap = n + extra
