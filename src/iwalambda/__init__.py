@@ -52,6 +52,7 @@ _EXPORTS_BY_MODULE = {
         "kappa",
         "lambda_shift_imaginary",
         "lambda_shift_real",
+        "lambda_shift_real_oracle",
         "lambda_wild",
         "reflection_check",
         "s_phi",

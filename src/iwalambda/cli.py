@@ -22,6 +22,7 @@ import sys
 from .characters import AbsChar, LadicChar, VirtualChar, mirror_abs, teichmuller
 from .cohomology import AmbiguousInput, FiniteGammaModule, ambiguous_valuation, tate_h0
 from .defect import (
+    ORACLE_LEVEL_CAP,
     CaseTag,
     LambdaExpr,
     defect_character,
@@ -30,6 +31,7 @@ from .defect import (
     ladic_chars_of,
     lambda_shift_imaginary,
     lambda_shift_real,
+    lambda_shift_real_oracle,
     lambda_wild,
     reflection_check,
 )
@@ -37,6 +39,7 @@ from .errors import IwalambdaError, ScaleError
 from .fields import FieldSpec, field_spec
 from .groups import FiniteAbelianGroup
 from .iwasawa import (
+    MATRIX_DIM_CAP,
     ElementaryModuleSpec,
     fit_parameters,
     level_order_table,
@@ -134,7 +137,11 @@ _TERM = re.compile(r"^([+-]?\d*)\*?(T(?:\^(\d+))?)?$")
 
 
 def parse_poly(text: str) -> tuple[int, ...]:
-    """Parse 'T^3+3T^2+3T' into ascending coefficients (0, 3, 3, 1)."""
+    """Parse 'T^3+3T^2+3T' into ascending coefficients (0, 3, 3, 1).
+
+    A degree past MATRIX_DIM_CAP (the --verify lattice has dimension
+    ell^n + deg f) or a term past the int-from-str digit limit is a
+    ScaleError, raised before any coefficient tuple is built."""
     s = text.replace(" ", "").replace("-", "+-")
     terms = [t for t in s.split("+") if t]
     coeffs: dict[int, int] = {}
@@ -143,8 +150,13 @@ def parse_poly(text: str) -> tuple[int, ...]:
         if not m or (m.group(1) in ("", "+", "-") and m.group(2) is None):
             raise IwalambdaError(f"cannot parse polynomial term {term!r}")
         sign_part, t_part, exp_part = m.group(1), m.group(2), m.group(3)
-        coeff = int(sign_part) if sign_part not in ("", "+", "-") else (-1 if sign_part == "-" else 1)
-        deg = 0 if t_part is None else (int(exp_part) if exp_part else 1)
+        try:
+            coeff = int(sign_part) if sign_part not in ("", "+", "-") else (-1 if sign_part == "-" else 1)
+            deg = 0 if t_part is None else (int(exp_part) if exp_part else 1)
+        except ValueError:  # the int-from-str digit limit, the only ValueError here
+            raise ScaleError(f"a polynomial term has more than {sys.get_int_max_str_digits()} digits") from None
+        if deg > MATRIX_DIM_CAP:
+            raise ScaleError(f"polynomial degree {deg} exceeds the matrix dimension cap {MATRIX_DIM_CAP}")
         coeffs[deg] = coeffs.get(deg, 0) + coeff
     if not coeffs:
         raise IwalambdaError(f"empty polynomial: {text!r}")
@@ -153,16 +165,22 @@ def parse_poly(text: str) -> tuple[int, ...]:
 
 
 def _load_config(path: str) -> dict[str, str]:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise IwalambdaError(str(exc)) from None
+    except UnicodeDecodeError as exc:
+        raise IwalambdaError(f"config file is not UTF-8: byte {exc.start} of {path!r}") from None
     out: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise IwalambdaError(f"bad config line: {line!r}")
-            key, value = line.split("=", 1)
-            out[key.strip().replace("-", "_")] = value.strip()
+    for line in lines:
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, value = line.partition("=")
+        if not sep or not key.strip():
+            raise IwalambdaError(f"bad config line: {line!r}")
+        out[key.strip().replace("-", "_")] = value.strip()
     return out
 
 
@@ -236,6 +254,10 @@ def cmd_lambda(args) -> dict:
         for p in S:
             if p != field.ell and splitting_exponent(field.ell, p) != splitting_exponent_oracle(field.ell, p):
                 raise AssertionError("splitting exponent oracle disagrees")
+        # the counting oracle of the real shift runs up to its level cap (S is tame here)
+        if parity == "real" and all(splitting_exponent(field.ell, p) <= ORACLE_LEVEL_CAP for p in S):
+            if lambda_shift_real_oracle(field, S) != expr.shift:
+                raise AssertionError("lambda-shift oracle disagrees with the closed form")
         checked = True
     payload = {"S": sorted(S), "parity": parity}
     if field.ell == field.conductor and parity == "real" and field.ell not in S:
@@ -294,10 +316,10 @@ def cmd_simulate(args) -> dict:
     # the orders, of the size of ell^n_max, print in decimal, and a polynomial
     # summand is reduced mod ell^(n_max + offset); ell >= 2^(bit_length-1) and
     # 16^limit > 10^limit, so deep exponents fail the first test without ell^e
-    e = n_max + args.offset if spec.polys else n_max
+    e, power = (n_max + args.offset, "ell^(n+offset)") if spec.polys and args.offset else (n_max, "ell^n")
     limit = getattr(sys, "get_int_max_str_digits", int)()  # 0 or absent: no limit
     if limit and (e * (spec.ell.bit_length() - 1) >= 4 * limit or spec.ell**e >= 10**limit):
-        raise ScaleError(f"ell^n has more than {limit} digits")
+        raise ScaleError(f"{power} has more than {limit} digits")
     table = level_order_table(spec, n_min, n_max, exponent_offset=args.offset)
     fit = fit_parameters(table, spec.ell) if len(table.entries) >= 4 else None
     checked = False
@@ -457,23 +479,18 @@ def main(argv=None) -> int:
             path = argv[i + 1]
         elif a.startswith("--config="):
             path = a.split("=", 1)[1]
-    if path is not None:
-        try:
-            config = _load_config(path)
-        except OSError as exc:
-            sys.stderr.write(f"error: {exc}\n")
-            return 1
-        present = {a.split("=")[0] for a in argv if a.startswith("--")}
-        for key, value in sorted(config.items()):
-            flag = "--" + key.replace("_", "-")
-            if flag in present:
-                continue
-            if value.lower() in ("true", "false"):  # boolean switches
-                if value.lower() == "true":
-                    argv.append(flag)
-            else:
-                argv.extend([flag, value])
     try:
+        if path is not None:
+            present = {a.split("=")[0] for a in argv if a.startswith("--")}
+            for key, value in sorted(_load_config(path).items()):
+                flag = "--" + key.replace("_", "-")
+                if flag in present:
+                    continue
+                if value.lower() in ("true", "false"):  # boolean switches
+                    if value.lower() == "true":
+                        argv.append(flag)
+                else:
+                    argv.extend([flag, value])
         # argparse reads '--flag=--' as an empty list, not as the value '--'
         for a in argv:
             if a.startswith("--") and a.endswith("=--"):

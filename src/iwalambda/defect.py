@@ -165,58 +165,49 @@ def defect_character(field: FieldSpec, S) -> VirtualChar:
     return VirtualChar(field.delta, mults)
 
 
-def defect_oracle(field: FieldSpec, S) -> VirtualChar:
-    """Counting oracle for the defect at the level where S stops splitting.
-
-    Works in the product group Delta x Z/ell^n0: for each prime p the
-    level-n0 decomposition subgroup G_p is generated by inertia (paired
-    with 0) and the Frobenius paired with the generator ell^{n_p} of the
-    index-ell^{n_p} subgroup of Z/ell^n0.  A character (chi, psi_c) of the
-    product is trivial on G_p iff both components die on every element
-    (their orders are coprime).  The multiplicity of an imaginary chi is
-    the number of c for which some p in S kills (chi, psi_c).
-    """
+def _kill_counts(field: FieldSpec, S) -> dict:
+    """For each imaginary chi of Delta trivial on D_p for some p in S, the
+    list of k_c = #{p in S that kill (chi, psi_c)} over c in Z/ell^n0, at
+    the level n0 where S stops splitting."""
     field.require_mirror_valid()
     S = _validate_tame(field, S)
-    if not S:
-        return VirtualChar.zero(field.delta)
-    data = {p: decomposition_data(field, p) for p in S}
-    n0 = max(d.n_p for d in data.values())
+    data = [decomposition_data(field, p) for p in S]
+    n0 = max((d.n_p for d in data), default=0)
     if n0 > ORACLE_LEVEL_CAP:
         raise ScaleError("oracle scale exceeded")
     q0 = field.ell**n0
-
-    subgroups = {}
-    for p, d in data.items():
-        gens = [(g, 0) for g in d.inertia.generators]
-        gens.append((d.frobenius, field.ell**d.n_p % q0 if n0 > 0 else 0))
-        elements = {(field.delta.identity().coords, 0)}
-        frontier = [(field.delta.identity(), 0)]
-        while frontier:
-            a, t = frontier.pop()
-            for gb, tb in gens:
-                nxt = (a + gb, (t + tb) % q0)
-                key = (nxt[0].coords, nxt[1])
-                if key not in elements:
-                    elements.add(key)
-                    frontier.append(nxt)
-        subgroups[p] = [(field.delta.element(c), t) for c, t in sorted(elements)]
-
     e = field.delta.exponent
-    mults: dict = {}
+    table = {}
     for chi in all_abs_chars(field.delta):
         if parity_of_value(chi.value_at(field.tau_bar), e) != IMAGINARY:
             continue
-        count = 0
-        for c in range(q0):
-            if any(
-                all(chi.value_at(a) == 0 and (c * t) % q0 == 0 for a, t in subgroups[p])
-                for p in S
-            ):
-                count += 1
-        if count:
-            mults[chi] = count
-    return VirtualChar(field.delta, mults)
+        steps = [field.ell**d.n_p for d in data if all(chi.value_at(a) == 0 for a in d.decomposition.elements)]
+        if steps:
+            table[chi] = [sum(c * step % q0 == 0 for step in steps) for c in range(q0)]
+    return table
+
+
+def defect_oracle(field: FieldSpec, S) -> VirtualChar:
+    """Counting oracle for the defect at the level n0 where S stops splitting.
+
+    In Delta x Z/ell^n0 the decomposition group G_p is generated by
+    (I_p, 0) and (Frob_p, ell^{n_p}), so it projects onto D_p and onto
+    <ell^{n_p}>; the orders are coprime, so G_p is the product of the two
+    projections and (chi, psi_c) dies on G_p iff chi is trivial on every
+    element of D_p and c * ell^{n_p} = 0 mod ell^n0.  The multiplicity of
+    an imaginary chi is #{c : k_c >= 1} in the table of _kill_counts.
+    """
+    counts = _kill_counts(field, S)
+    return VirtualChar(field.delta, {chi: sum(k > 0 for k in ks) for chi, ks in counts.items()})
+
+
+def lambda_shift_real_oracle(field: FieldSpec, S) -> VirtualChar:
+    """Counting oracle for the shift of lambda_shift_real, read from the
+    same table: sum_c k_c is the sum of ell^{n_p} over S_chi and
+    #{c : k_c >= 1} their max, so mirror(chi) has sum_c max(k_c - 1, 0)."""
+    counts = _kill_counts(field, S)
+    mults = {chi: sum(max(k - 1, 0) for k in ks) for chi, ks in counts.items()}
+    return mirror(VirtualChar(field.delta, mults), field)
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,7 @@ from iwalambda.defect import (
     defect_oracle,
     imo_lambda,
     lambda_shift_real,
+    lambda_shift_real_oracle,
     reflection_check,
 )
 from iwalambda.errors import InconsistentDataError
@@ -64,7 +65,8 @@ def criterion(name):
 
 
 def test_criterion_1_defect_oracle_equivalence():
-    """defect_character == defect_oracle over every admissible field and S."""
+    """defect_character == defect_oracle, and the real lambda shift == its
+    counting oracle, over every admissible field and S."""
     with criterion("1 defect-oracle equivalence"):
         pool = [2, 5, 7, 13, 17, 53]
         fields = []
@@ -78,6 +80,7 @@ def test_criterion_1_defect_oracle_equivalence():
             for size in range(0, 4):
                 for S in itertools.combinations(pool, size):
                     assert defect_character(F, S) == defect_oracle(F, S), (F, S)
+                    assert lambda_shift_real(F, S).shift == lambda_shift_real_oracle(F, S), (F, S)
                     checked += 1
         assert checked == 3 * 42
 

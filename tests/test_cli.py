@@ -164,6 +164,22 @@ class TestLambda:
         assert rc == 0 and err == ""
         assert json.loads(out)["oracle_checked"] is True
 
+    def test_verify_runs_the_real_shift_oracle_up_to_its_cap(self, monkeypatch):
+        calls = []  # the stub records S and returns None, which no shift equals
+        monkeypatch.setattr(iwalambda.cli, "lambda_shift_real_oracle", lambda F, S: calls.append(S))
+        field = ["lambda", "--ell", "3", "--conductor", "15"]
+        rc, out, err = run_inprocess([*field, "--primes", "7,13", "--verify"])
+        assert (rc, out, err) == (1, "", "internal check failed: lambda-shift oracle disagrees with the closed form\n")
+        assert calls == [(7, 13)]
+        # imaginary and wild shifts have no counting oracle; 39367 (n_p = 8) is past the cap of 4
+        for argv in (["--primes", "7,13", "--parity", "imaginary", "--verify"],
+                     ["--primes", "3,7", "--parity", "wild", "--verify"],
+                     ["--primes", "7,39367", "--verify"],
+                     ["--primes", "7,13"]):
+            rc, out, err = run_inprocess([*field, *argv])
+            assert rc == 0 and err == "", argv
+        assert calls == [(7, 13)]
+
 
 class TestReflect:
     def test_example(self):
@@ -239,6 +255,17 @@ class TestSimulate:
     def test_scale_exceeded(self):
         rc, _, _ = run_cli("simulate", "--ell", "3", "--poly", "T", "--n", "6")
         assert rc == 4
+
+    @pytest.mark.parametrize("poly, message", [
+        ("T^99999999", "polynomial degree 99999999 exceeds the matrix dimension cap 250"),
+        ("T^251+3", "polynomial degree 251 exceeds the matrix dimension cap 250"),
+        ("T^" + "9" * 5000, "a polynomial term has more than 4300 digits"),
+        ("3" * 5000 + "T+3", "a polynomial term has more than 4300 digits"),
+    ])
+    def test_poly_past_the_caps_exit_4_at_once(self, poly, message):
+        # no coefficient tuple of that length is built
+        rc, out, err = run_inprocess(["simulate", "--ell", "3", "--poly", poly, "--n", "2"])
+        assert (rc, out, err) == (4, "", f"error: {message}\n")
 
     def test_bad_poly_rejected(self):
         rc, _, err = run_cli("simulate", "--ell", "3", "--poly", "T+1", "--n", "3")
@@ -317,7 +344,7 @@ class TestSimulateDigitLimit:
     def test_polynomial_modulus_past_the_limit_exit_4(self):
         # the kernel reduces mod ell^(n + offset), so the offset counts
         rc, out, err = run_inprocess(["simulate", "--ell", "3", "--poly", "T+3", "--n", "3", "--offset", "1000000"])
-        assert (rc, out, err) == (4, "", "error: ell^n has more than 4300 digits\n")
+        assert (rc, out, err) == (4, "", "error: ell^(n+offset) has more than 4300 digits\n")
 
     def test_offsets_inside_the_limit(self):
         rc, out, err = run_inprocess(["simulate", "--ell", "3", "--mu", "1", "--n", "3", "--offset", "1000000"])
@@ -531,6 +558,20 @@ class TestConfigAndFormats:
             rc, out, err = run_inprocess(argv)
             assert (rc, out) == (1, "")
             assert err.startswith("error: unrecognized arguments: --") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("content, message", [
+        (b"\xff\n", "error: config file is not UTF-8: byte 0 of "),
+        (b"=3\nell = 3\n", "error: bad config line: '=3'"),
+        (b"ell 3\n", "error: bad config line: 'ell 3'"),
+        (None, "error: [Errno 2] No such file or directory: "),
+    ])
+    def test_bad_config_file_exits_1_with_one_line(self, tmp_path, content, message):
+        cfg = tmp_path / "job.cfg"
+        if content is not None:
+            cfg.write_bytes(content)
+        rc, out, err = run_inprocess(["chars", "--config", str(cfg), "--conductor", "15"])
+        assert (rc, out) == (1, "")
+        assert err.startswith(message) and len(err.splitlines()) == 1
 
     def test_table_format(self):
         rc, out, _ = run_cli(

@@ -19,6 +19,7 @@ from iwalambda.defect import (
     ladic_chars_of,
     lambda_shift_imaginary,
     lambda_shift_real,
+    lambda_shift_real_oracle,
     lambda_wild,
     mirror_lambda_expr,
     mirror_symbol,
@@ -75,6 +76,7 @@ PRIME_SET_ENTRY_POINTS = {
     "defect_character": lambda S: defect_character(F15, S),
     "defect_oracle": lambda S: defect_oracle(F15, S),
     "lambda_shift_real": lambda S: lambda_shift_real(F15, S),
+    "lambda_shift_real_oracle": lambda S: lambda_shift_real_oracle(F15, S),
     "lambda_shift_imaginary": lambda S: lambda_shift_imaginary(F15, S),
     "lambda_wild": lambda S: lambda_wild(F15, [3, *S]),
     "chi_S": lambda S: chi_S(F15, S),
@@ -85,7 +87,8 @@ PRIME_SET_ENTRY_POINTS = {
     "imo_lambda": lambda S: imo_lambda(3, S),
 }
 TAME_ENTRY_POINTS = (
-    "s_phi", "defect_character", "defect_oracle", "lambda_shift_real", "lambda_shift_imaginary", "imo_lambda",
+    "s_phi", "defect_character", "defect_oracle", "lambda_shift_real", "lambda_shift_real_oracle",
+    "lambda_shift_imaginary", "imo_lambda",
 )
 
 
@@ -150,11 +153,34 @@ class TestDefect:
         assume(max((splitting_exponent(F.ell, p) for p in S), default=0) <= ORACLE_LEVEL_CAP)
         assert defect_character(F, S) == defect_oracle(F, S)
 
+    @settings(derandomize=True, max_examples=80)
+    @given(
+        st.sampled_from(PROPERTY_FIELDS),
+        st.lists(st.sampled_from(primes_below(200)), unique=True, max_size=3),
+    )
+    def test_real_shift_matches_oracle_seeded(self, key, S):
+        F = field_spec(*key)
+        assume(F.ell not in S)
+        assume(max((splitting_exponent(F.ell, p) for p in S), default=0) <= ORACLE_LEVEL_CAP)
+        assert lambda_shift_real(F, S).shift == lambda_shift_real_oracle(F, S)
+
+    def test_real_shift_oracle_examples(self):
+        # on F3 every prime = 1 mod 3 kills omega; 7 and 13 have n_p = 0, 19 has n_p = 1
+        assert [splitting_exponent(3, p) for p in (7, 13, 19)] == [0, 0, 1]
+        assert lambda_shift_real_oracle(F3, [7, 13]) == VirtualChar.one(F3.delta)  # 1 + 1 - 1
+        assert lambda_shift_real_oracle(F3, [7, 19]) == VirtualChar.one(F3.delta)  # 1 + 3 - 3
+        assert lambda_shift_real_oracle(F3, [7, 13, 19]) == 2 * VirtualChar.one(F3.delta)  # 1 + 1 + 3 - 3
+        assert lambda_shift_real_oracle(F3, [19]).is_zero
+        assert lambda_shift_real_oracle(F3, [2, 17]).is_zero  # S_omega empty
+        assert lambda_shift_real_oracle(F3, []).is_zero
+
     def test_oracle_scale_cap(self):
         # 1459 = 2 * 729 + 1 has n_p = 5, past the oracle level cap
         assert splitting_exponent(3, 1459) == 5
         with pytest.raises(ScaleError, match="oracle scale"):
             defect_oracle(F3, [1459])
+        with pytest.raises(ScaleError, match="oracle scale"):
+            lambda_shift_real_oracle(F3, [7, 1459])
         # the closed form itself has no such cap
         assert defect_character(F3, [1459]) == 3**5 * omega_v(F3)
 
