@@ -11,6 +11,7 @@ they come from the operations here.
 from __future__ import annotations
 
 import itertools
+import math
 from functools import lru_cache
 
 from .errors import FieldError
@@ -125,40 +126,86 @@ class LadicChar(Record):
     def degree(self) -> int:
         return len(self.orbit)
 
-    @classmethod
-    def from_abs(cls, chi: AbsChar, ell: int, tau_bar: GroupElement) -> "LadicChar":
-        orbit = {chi}
-        cur = chi.frobenius(ell)
-        while cur not in orbit:
-            orbit.add(cur)
-            cur = cur.frobenius(ell)
-        members = tuple(sorted(orbit, key=lambda c: c.coeffs))
-        e = chi.group.exponent
-        parities = {parity_of_value(m.value_at(tau_bar), e) for m in members}
-        if len(parities) != 1:
-            raise FieldError("orbit mixes parities; tau_bar is not an involution")
-        return cls(chi.group, ell, members, parities.pop())
-
 
 def all_ladic_chars(delta: FiniteAbelianGroup, ell: int, tau_bar: GroupElement) -> list[LadicChar]:
     """All ell-adic irreducibles of Delta, sorted by canonical representative.
 
     Requires gcd(ell, |Delta|) = 1 and an involutive tau_bar; then the
-    orbits partition the dual group and degrees sum to |Delta|.
+    orbits partition the dual group and degrees sum to |Delta|.  For the
+    Delta of a field, char_table(field) keeps the same orbits.
     """
     if delta.order % ell == 0:
         raise FieldError("ell divides group order")
     if not (tau_bar + tau_bar).is_identity:
         raise FieldError("tau_bar must square to the identity")
-    seen: set[tuple[int, ...]] = set()
-    out = []
-    for chi in all_abs_chars(delta):
-        if chi.coeffs in seen:
-            continue
-        phi = LadicChar.from_abs(chi, ell, tau_bar)
-        seen.update(m.coeffs for m in phi.orbit)
-        out.append(phi)
+    if tau_bar.group != delta:
+        raise ValueError("element of a different group")
+    return CharTable(delta, ell, tau_bar).ladic_chars()
+
+
+def _lex_sums(rows: list[list[int]]) -> list[int]:
+    """[rows[0][c_0] + rows[1][c_1] + ... for c in lexicographic order]."""
+    out = [0]
+    for row in rows:
+        out = [s + t for s in out for t in row]
     return out
+
+
+class CharTable:
+    """The dual of Delta, indexed once in the lexicographic order of all_abs_chars.
+
+    chars[i] is the i-th character (one shared AbsChar per vector) and
+    index maps its coefficient vector back to i.  frobenius[i] is the
+    position of chi_i^ell, and odd[i] is 1 when chi_i(tau_bar) = -1, 0
+    when it is 1.  Given omega's coefficient vector, omega is its position
+    and mirror[i] the position of omega * chi_i^{-1}; otherwise both are
+    None.  Position and value are sums of one term per coordinate, so each
+    list is filled coordinate by coordinate, with no character product.
+    When ell is prime to |Delta|, orbits lists the Frobenius orbits (each
+    ascending, ordered by least member) and orbit_of[i] numbers the orbit
+    of i; otherwise both are None.
+    """
+
+    __slots__ = ("group", "ell", "chars", "index", "frobenius", "odd", "orbits", "orbit_of", "omega", "mirror")
+
+    def __init__(self, group: FiniteAbelianGroup, ell: int, tau_bar: GroupElement,
+                 omega_coeffs: tuple[int, ...] | None = None):
+        d, e = group.invariant_factors, group.exponent
+        strides = [math.prod(d[j + 1:]) for j in range(len(d))]
+
+        def positions(scale: int, shift) -> list[int]:  # of (scale * c + shift) mod d
+            return _lex_sums([[(scale * c + s) % dj * st for c in range(dj)] for dj, s, st in zip(d, shift, strides)])
+
+        self.group, self.ell = group, ell
+        self.chars = chars = all_abs_chars(group)
+        self.index = {chi.coeffs: i for i, chi in enumerate(chars)}
+        self.frobenius = frobenius = positions(ell, (0,) * len(d))
+        values = _lex_sums([[c * t * (e // dj) for c in range(dj)] for dj, t in zip(d, tau_bar.coords)])
+        self.odd = [int(v % e != 0) for v in values]
+        self.orbits = self.orbit_of = None
+        if group.order % ell != 0:  # then chi -> chi^ell permutes the positions
+            self.orbits, self.orbit_of = orbits, orbit_of = [], [-1] * len(chars)
+            for i in range(len(chars)):
+                if orbit_of[i] < 0:
+                    orbit, j = [], i
+                    while orbit_of[j] < 0:
+                        orbit_of[j] = len(orbits)
+                        orbit.append(j)
+                        j = frobenius[j]
+                    orbits.append(sorted(orbit))
+        self.omega = self.mirror = None
+        if omega_coeffs is not None:
+            self.omega = sum(w * st for w, st in zip(omega_coeffs, strides))
+            self.mirror = positions(-1, omega_coeffs)
+
+    def ladic_chars(self) -> list[LadicChar]:
+        if self.orbits is None:
+            raise FieldError("ell divides group order")
+        chars, odd = self.chars, self.odd
+        return [
+            LadicChar(self.group, self.ell, tuple(chars[i] for i in orbit), IMAGINARY if odd[orbit[0]] else REAL)
+            for orbit in self.orbits
+        ]
 
 
 class VirtualChar:
@@ -317,8 +364,7 @@ def parity_split(x: VirtualChar, tau_bar: GroupElement) -> tuple[VirtualChar, Vi
 # ---------------------------------------------------------------------------
 # Teichmueller character and the mirror involution
 
-@lru_cache(maxsize=None)
-def teichmuller(field: FieldSpec) -> LadicChar:
+def teichmuller_coeffs(field: FieldSpec) -> tuple[int, ...]:
     """The character through which Delta acts on the ell-th roots of unity.
 
     sigma_a acts by a mod ell; the exponent encoding pins the discrete log
@@ -344,19 +390,36 @@ def teichmuller(field: FieldSpec) -> LadicChar:
         want = dlog_ell[a % ell] * scale % e
         if omega.value_at(field.delta_element(a)) != want:
             raise AssertionError("Teichmueller character failed verification")
-    phi = LadicChar.from_abs(omega, ell, field.tau_bar)
-    if phi.degree != 1 or phi.parity != IMAGINARY:
+    return omega.coeffs
+
+
+@lru_cache(maxsize=None)
+def char_table(field: FieldSpec) -> CharTable:
+    """The indexed dual of field.delta, with the mirror list when K
+    contains the ell-th roots of unity; built once per field."""
+    omega_coeffs = teichmuller_coeffs(field) if field.contains_mu_ell else None
+    return CharTable(field.delta, field.ell, field.tau_bar, omega_coeffs)
+
+
+@lru_cache(maxsize=None)
+def teichmuller(field: FieldSpec) -> LadicChar:
+    """omega as an ell-adic character: its orbit must be a fixed point of
+    the table's Frobenius list and odd."""
+    if not field.contains_mu_ell:
+        raise FieldError("field does not contain ell-th roots of unity")
+    table = char_table(field)
+    i = table.omega
+    if table.frobenius[i] != i or not table.odd[i]:
         raise AssertionError("Teichmueller character must be an imaginary degree-1 orbit")
-    return phi
-
-
-def mirror_abs(chi: AbsChar, omega: AbsChar) -> AbsChar:
-    return omega * chi.inverse()
+    return LadicChar(field.delta, field.ell, (table.chars[i],), IMAGINARY)
 
 
 def mirror(x: VirtualChar, field: FieldSpec) -> VirtualChar:
     """The reflection involution chi -> omega * chi^{-1}, multiplicities
-    transported pointwise."""
+    transported pointwise through the table's mirror list."""
     field.require_mirror_valid()
-    omega = teichmuller(field).rep
-    return VirtualChar(x.group, {mirror_abs(chi, omega): k for chi, k in x._m.items()})
+    if x.group != field.delta:
+        raise ValueError("characters of different groups")
+    table = char_table(field)
+    chars, image, index = table.chars, table.mirror, table.index
+    return VirtualChar(x.group, {chars[image[index[chi.coeffs]]]: k for chi, k in x._m.items()})

@@ -19,7 +19,7 @@ import json
 import re
 import sys
 
-from .characters import AbsChar, LadicChar, VirtualChar, mirror_abs, teichmuller
+from .characters import AbsChar, VirtualChar, char_table, teichmuller
 from .cohomology import AmbiguousInput, FiniteGammaModule, ambiguous_valuation, tate_h0
 from .defect import (
     ORACLE_LEVEL_CAP,
@@ -140,8 +140,9 @@ def parse_poly(text: str) -> tuple[int, ...]:
     """Parse 'T^3+3T^2+3T' into ascending coefficients (0, 3, 3, 1).
 
     A degree past MATRIX_DIM_CAP (the --verify lattice has dimension
-    ell^n + deg f) or a term past the int-from-str digit limit is a
-    ScaleError, raised before any coefficient tuple is built."""
+    ell^n + deg f, which cmd_simulate bounds as a whole) or a term past the
+    int-from-str digit limit is a ScaleError, raised before any coefficient
+    tuple is built."""
     s = text.replace(" ", "").replace("-", "+-")
     terms = [t for t in s.split("+") if t]
     coeffs: dict[int, int] = {}
@@ -194,25 +195,19 @@ def _field_from_args(args) -> FieldSpec:
 def cmd_chars(args) -> dict:
     field = _field_from_args(args)
     field.require_mirror_valid()
-    omega = teichmuller(field).rep
-    chars = ladic_chars_of(field)
-    orbit_label = {chi.coeffs: _char_label(phi.rep, omega) for phi in chars for chi in phi.orbit}
-
-    def mirror_label(phi: LadicChar) -> str:
-        label = orbit_label.get(mirror_abs(phi.rep, omega).coeffs)
-        if label is None:
-            raise AssertionError("mirror partner missing")
-        return label
-
+    table = char_table(field)
+    omega = table.chars[table.omega]
+    chars = ladic_chars_of(field)  # in the order of table.orbits
+    labels = [_char_label(phi.rep, omega) for phi in chars]
     result = [
         {
-            "label": _char_label(phi.rep, omega),
+            "label": label,
             "coords": list(phi.rep.coeffs),
             "degree": phi.degree,
             "parity": phi.parity,
-            "mirror": mirror_label(phi),
+            "mirror": labels[table.orbit_of[table.mirror[orbit[0]]]],
         }
-        for phi in chars
+        for phi, label, orbit in zip(chars, labels, table.orbits)
     ]
     return {"field": _render_field(field), "input": {}, "result": {"characters": result}, "oracle_checked": False}
 
@@ -320,6 +315,10 @@ def cmd_simulate(args) -> dict:
     limit = getattr(sys, "get_int_max_str_digits", int)()  # 0 or absent: no limit
     if limit and (e * (spec.ell.bit_length() - 1) >= 4 * limit or spec.ell**e >= 10**limit):
         raise ScaleError(f"{power} has more than {limit} digits")
+    # --verify reduces a Sylvester lattice of ell^n + deg f columns at each level
+    size = max((spec.ell**n_max + len(f) - 1 for f in spec.polys), default=0) if args.verify else 0
+    if size > MATRIX_DIM_CAP:
+        raise ScaleError(f"the --verify lattice dimension {size} exceeds the matrix dimension cap {MATRIX_DIM_CAP}")
     table = level_order_table(spec, n_min, n_max, exponent_offset=args.offset)
     fit = fit_parameters(table, spec.ell) if len(table.entries) >= 4 else None
     checked = False

@@ -17,13 +17,15 @@ from functools import lru_cache
 
 from .characters import (
     IMAGINARY,
+    AbsChar,
     LadicChar,
     VirtualChar,
     all_abs_chars,
-    all_ladic_chars,
+    char_table,
     mirror,
     parity_of_value,
     parity_split,
+    teichmuller_coeffs,
 )
 from .errors import PrimeSetError, ScaleError
 from .fields import FieldSpec
@@ -109,7 +111,7 @@ def mirror_lambda_expr(expr: LambdaExpr, field: FieldSpec) -> LambdaExpr:
 
 @lru_cache(maxsize=None)
 def ladic_chars_of(field: FieldSpec) -> tuple[LadicChar, ...]:
-    return tuple(all_ladic_chars(field.delta, field.ell, field.tau_bar))
+    return tuple(char_table(field).ladic_chars())
 
 
 def imaginary_chars_of(field: FieldSpec) -> list[LadicChar]:
@@ -204,10 +206,14 @@ def defect_oracle(field: FieldSpec, S) -> VirtualChar:
 def lambda_shift_real_oracle(field: FieldSpec, S) -> VirtualChar:
     """Counting oracle for the shift of lambda_shift_real, read from the
     same table: sum_c k_c is the sum of ell^{n_p} over S_chi and
-    #{c : k_c >= 1} their max, so mirror(chi) has sum_c max(k_c - 1, 0)."""
+    #{c : k_c >= 1} their max, so mirror(chi) has sum_c max(k_c - 1, 0).
+    The mirror is the character product omega * chi^{-1}, not a lookup in
+    char_table."""
     counts = _kill_counts(field, S)
-    mults = {chi: sum(max(k - 1, 0) for k in ks) for chi, ks in counts.items()}
-    return mirror(VirtualChar(field.delta, mults), field)
+    omega = AbsChar(field.delta, teichmuller_coeffs(field))
+    return VirtualChar(
+        field.delta, {omega * chi.inverse(): sum(max(k - 1, 0) for k in ks) for chi, ks in counts.items()}
+    )
 
 
 # ---------------------------------------------------------------------------

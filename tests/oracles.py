@@ -12,8 +12,9 @@ import math
 import random
 from fractions import Fraction
 
-from iwalambda.characters import VirtualChar, all_abs_chars
+from iwalambda.characters import LadicChar, VirtualChar, all_abs_chars, parity_of_value
 from iwalambda.cohomology import FiniteGammaModule
+from iwalambda.errors import FieldError
 from iwalambda.exact import smith_normal_form
 from iwalambda.groups import FiniteAbelianGroup, Subgroup
 from iwalambda.iwasawa import FitParameters, LevelOrderTable
@@ -117,6 +118,35 @@ def group_order_census(G: FiniteAbelianGroup) -> dict[int, int]:
 def induce_trivial_by_scan(delta: FiniteAbelianGroup, D: Subgroup) -> VirtualChar:
     """Every character of Delta that vanishes on every element of D, each once."""
     return VirtualChar(delta, {chi: 1 for chi in all_abs_chars(delta) if chi.is_trivial_on(D.elements)})
+
+
+def all_ladic_chars_by_walk(delta: FiniteAbelianGroup, ell: int, tau_bar) -> list[LadicChar]:
+    """The ell-adic irreducibles by walking chi, chi^ell, chi^(ell^2), ...
+    as character products into a set, from each character not yet seen in
+    lexicographic order; every member's parity is read from its value at
+    tau_bar, and an orbit that mixes parities is an error."""
+    seen: set[tuple[int, ...]] = set()
+    out = []
+    for chi in all_abs_chars(delta):
+        if chi.coeffs in seen:
+            continue
+        orbit = {chi}
+        cur = chi.frobenius(ell)
+        while cur not in orbit:
+            orbit.add(cur)
+            cur = cur.frobenius(ell)
+        members = tuple(sorted(orbit, key=lambda c: c.coeffs))
+        parities = {parity_of_value(m.value_at(tau_bar), delta.exponent) for m in members}
+        if len(parities) != 1:
+            raise FieldError("orbit mixes parities; tau_bar is not an involution")
+        seen.update(m.coeffs for m in members)
+        out.append(LadicChar(delta, ell, members, parities.pop()))
+    return out
+
+
+def mirror_by_products(chi, omega):
+    """omega * chi^{-1}, as a product of two characters."""
+    return omega * chi.inverse()
 
 
 def contains_mu_ell_by_scan(field) -> bool:

@@ -16,13 +16,12 @@ from contextlib import contextmanager
 from iwalambda.characters import (
     IMAGINARY,
     REAL,
-    LadicChar,
     VirtualChar,
     all_ladic_chars,
     induce_trivial,
     inner_product,
     mirror,
-    mirror_abs,
+    parity_of_value,
     parity_split,
     restrict,
     teichmuller,
@@ -50,7 +49,7 @@ from iwalambda.fields import field_spec
 from iwalambda.groups import all_subgroups
 from iwalambda.iwasawa import ElementaryModuleSpec, fit_parameters, level_order_table
 from iwalambda.splitting import splitting_exponent, splitting_exponent_oracle
-from oracles import primes_below, random_gamma_module, tate_by_enumeration
+from oracles import mirror_by_products, primes_below, random_gamma_module, tate_by_enumeration
 
 
 @contextmanager
@@ -177,8 +176,8 @@ def test_criterion_5_character_algebra_laws():
             assert sum(c.degree for c in chars) == F.delta.order
             omega = teichmuller(F).rep
             for phi in chars:
-                starred = LadicChar.from_abs(mirror_abs(phi.rep, omega), F.ell, F.tau_bar)
-                assert {phi.parity, starred.parity} == {REAL, IMAGINARY}
+                starred = mirror_by_products(phi.rep, omega)
+                assert {phi.parity, parity_of_value(starred.value_at(F.tau_bar), F.delta.exponent)} == {REAL, IMAGINARY}
             for _ in range(20):
                 mults = {}
                 for phi in chars:

@@ -9,20 +9,22 @@ from iwalambda.characters import (
     IMAGINARY,
     REAL,
     AbsChar,
-    LadicChar,
     VirtualChar,
     all_abs_chars,
     all_ladic_chars,
+    char_table,
     contragredient,
     induce_trivial,
     inner_product,
     mirror,
-    mirror_abs,
+    parity_of_value,
     parity_split,
     restrict,
     teichmuller,
+    teichmuller_coeffs,
     trivial_char,
 )
+from iwalambda.defect import ladic_chars_of
 from iwalambda.errors import FieldError
 from iwalambda.fields import FieldSpec, field_spec
 from iwalambda.groups import (
@@ -33,7 +35,14 @@ from iwalambda.groups import (
     subgroup_generated,
     trivial_subgroup,
 )
-from oracles import CHAINS, PROPERTY_FIELDS, contains_mu_ell_by_scan, induce_trivial_by_scan
+from oracles import (
+    CHAINS,
+    PROPERTY_FIELDS,
+    all_ladic_chars_by_walk,
+    contains_mu_ell_by_scan,
+    induce_trivial_by_scan,
+    mirror_by_products,
+)
 
 
 def stable_random_char(field, rng, lo=-3, hi=3):
@@ -276,8 +285,9 @@ class TestTeichmuller:
         # H = <2> mod 15 contains 2 != 1 mod 3, so K loses the cube roots
         F = field_spec(3, 15, (2,))
         assert not F.contains_mu_ell
-        with pytest.raises(FieldError, match="roots of unity"):
-            teichmuller(F)
+        for fn in (teichmuller, teichmuller_coeffs):
+            with pytest.raises(FieldError, match="roots of unity"):
+                fn(F)
 
     @settings(derandomize=True, max_examples=100)
     @given(st.sampled_from(PROPERTY_FIELDS), st.lists(st.integers(1, 10**4), max_size=3))
@@ -309,8 +319,72 @@ class TestMirror:
             F = field_spec(ell, m)
             omega = teichmuller(F).rep
             for phi in all_ladic_chars(F.delta, ell, F.tau_bar):
-                starred = LadicChar.from_abs(mirror_abs(phi.rep, omega), ell, F.tau_bar)
-                assert {phi.parity, starred.parity} == {REAL, IMAGINARY}
+                starred = mirror_by_products(phi.rep, omega)
+                assert {phi.parity, parity_of_value(starred.value_at(F.tau_bar), F.delta.exponent)} == {REAL, IMAGINARY}
+
+    def test_group_checked_on_every_input(self):
+        F = field_spec(3, 15)
+        G = FiniteAbelianGroup((2, 2))
+        for x in (VirtualChar.zero(G), VirtualChar.one(G), VirtualChar.from_abs(AbsChar(G, (1, 1)))):
+            with pytest.raises(ValueError, match="characters of different groups"):
+                mirror(x, F)
+
+
+# the property fields and three larger ones, up to |Delta| = 1280
+TABLE_FIELDS = PROPERTY_FIELDS + ((3, 255, ()), (3, 561, ()), (3, 2805, ()))
+
+
+class TestCharTable:
+    """The indexed lists against the set walk and the character products."""
+
+    @settings(derandomize=True, max_examples=200)
+    @given(st.sampled_from(CHAINS))
+    def test_orbits_and_parities_match_the_walk(self, chain):
+        G = FiniteAbelianGroup(chain)
+        involutions = [g for g in G.elements() if (g + g).is_identity]
+        for ell in (3, 5, 7, 11):
+            if G.order % ell == 0:
+                continue
+            for tau in involutions:
+                assert all_ladic_chars(G, ell, tau) == all_ladic_chars_by_walk(G, ell, tau), (chain, ell, tau)
+
+    @settings(derandomize=True, max_examples=50)
+    @given(st.sampled_from(TABLE_FIELDS))
+    def test_mirror_list_matches_products(self, key):
+        F = field_spec(*key)
+        table = char_table(F)
+        omega, e = teichmuller(F).rep, F.delta.exponent
+        for i, chi in enumerate(table.chars):
+            j = table.mirror[i]
+            starred = mirror_by_products(chi, omega)
+            assert table.chars[j] == starred
+            assert table.mirror[j] == i
+            assert table.mirror[table.frobenius[i]] == table.frobenius[j]
+            assert table.odd[j] == 1 - table.odd[i]
+            assert parity_of_value(starred.value_at(F.tau_bar), e) != parity_of_value(chi.value_at(F.tau_bar), e)
+            assert mirror(VirtualChar.from_abs(chi), F) == VirtualChar.from_abs(starred)
+
+    def test_one_shared_character_per_vector(self):
+        F = field_spec(3, 165)
+        table = char_table(F)
+        assert [chi.coeffs for chi in table.chars] == [chi.coeffs for chi in all_abs_chars(F.delta)]
+        assert all(table.index[chi.coeffs] == i for i, chi in enumerate(table.chars))
+        assert all(member is table.chars[table.index[member.coeffs]] for phi in ladic_chars_of(F) for member in phi.orbit)
+        assert teichmuller(F).rep is table.chars[table.omega]
+
+    def test_ell_dividing_the_order_has_no_orbits(self):
+        F = field_spec(3, 9)
+        table = char_table(F)
+        assert table.orbits is None and table.orbit_of is None
+        with pytest.raises(FieldError, match="ell divides group order"):
+            table.ladic_chars()
+        assert teichmuller(F).degree == 1
+
+    def test_no_mirror_list_without_mu_ell(self):
+        F = field_spec(3, 15, (2,))
+        table = char_table(F)
+        assert table.omega is None and table.mirror is None
+        assert [phi.parity for phi in table.ladic_chars()] == [phi.parity for phi in all_ladic_chars_by_walk(F.delta, 3, F.tau_bar)]
 
 
 class TestParitySplit:

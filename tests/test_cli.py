@@ -7,6 +7,7 @@ import resource
 import shlex
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given
@@ -266,6 +267,18 @@ class TestSimulate:
         # no coefficient tuple of that length is built
         rc, out, err = run_inprocess(["simulate", "--ell", "3", "--poly", poly, "--n", "2"])
         assert (rc, out, err) == (4, "", f"error: {message}\n")
+
+    def test_verify_lattice_past_the_cap_exit_4_at_once(self):
+        # N = 3^5 + 250 = 493 columns: refused before the order table is built
+        start = time.perf_counter()
+        rc, out, err = run_inprocess(["simulate", "--ell", "3", "--n", "5", "--poly", "T^250", "--verify"])
+        assert time.perf_counter() - start < 1
+        assert (rc, out, err) == (4, "", "error: the --verify lattice dimension 493 exceeds the matrix dimension cap 250\n")
+
+    def test_verify_lattice_at_the_cap_runs(self):
+        # N = 3^5 + 7 = 250, the largest lattice --verify accepts
+        rc, out, err = run_inprocess(["simulate", "--ell", "3", "--n", "5", "--n-min", "5", "--poly", "T^7+3", "--verify"])
+        assert (rc, err) == (0, "") and json.loads(out)["oracle_checked"] is True
 
     def test_bad_poly_rejected(self):
         rc, _, err = run_cli("simulate", "--ell", "3", "--poly", "T+1", "--n", "3")
@@ -642,6 +655,9 @@ PINNED_OUTPUT = [
     ("chars --ell 3 --conductor 14", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("chars --ell 3 --conductor 120003", 4, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("simulate --ell 3 --poly T+3 --n 9", 4, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    # recorded before the per-field character table: the imaginary shift at m = 2805, the mirror at m = 561
+    ("lambda --ell 3 --conductor 2805 --primes 17,29 --parity imaginary", 0, "d879fd51fe7fe1ffbc608d28f2b54472cf0cf2464300e4f955b4048b4dae958e"),
+    ("reflect --ell 3 --conductor 561 --S 3,7 --T 13", 0, "0605b6bf4b963f1ef9b0afb94672f6eb95ac63c4545cb1e4234b9ca442b524bd"),
 ]
 
 

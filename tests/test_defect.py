@@ -5,6 +5,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import iwalambda.characters
+import iwalambda.defect
 from iwalambda.characters import VirtualChar, inner_product, parity_split, teichmuller, trivial_char
 from iwalambda.defect import (
     ORACLE_LEVEL_CAP,
@@ -27,9 +29,9 @@ from iwalambda.defect import (
     s_phi,
 )
 from iwalambda.errors import PrimeSetError, ScaleError
-from iwalambda.fields import field_spec
+from iwalambda.fields import FieldSpec, field_spec
 from iwalambda.splitting import chi_S, decomposition_data, splitting_exponent
-from oracles import PROPERTY_FIELDS, primes_below, s_phi_by_scan
+from oracles import PROPERTY_FIELDS, all_ladic_chars_by_walk, induce_trivial_by_scan, primes_below, s_phi_by_scan
 
 F3 = field_spec(3, 3)
 TEST_FIELDS = [field_spec(3, 3), field_spec(3, 15), field_spec(3, 33), field_spec(3, 15, (4,))]
@@ -353,3 +355,26 @@ class TestImoLambda:
         assert splitting_exponent(3, 487) == 4
         assert imo_lambda(3, [7, 487]) == (1 + 81) - 81
         assert imo_lambda(3, [7, 13, 487]) == (1 + 1 + 81) - 81
+
+
+def test_oracles_do_not_read_the_char_table(monkeypatch):
+    # on a field with no table built yet, every oracle runs with char_table
+    # refused, and afterwards agrees with the table-backed closed forms
+    F, S = FieldSpec(3, 165), (7, 13, 19)
+
+    def refuse(field):
+        raise AssertionError("an oracle read the character table")
+
+    for module in (iwalambda.characters, iwalambda.defect):
+        monkeypatch.setattr(module, "char_table", refuse)
+    chars = all_ladic_chars_by_walk(F.delta, F.ell, F.tau_bar)
+    defect = defect_oracle(F, S)
+    shift = lambda_shift_real_oracle(F, S)
+    s_phis = [s_phi_by_scan(F, S, phi) for phi in chars]
+    inductions = [induce_trivial_by_scan(F.delta, decomposition_data(F, p).decomposition) for p in S]
+    monkeypatch.undo()
+    assert defect == defect_character(F, S)
+    assert shift == lambda_shift_real(F, S).shift
+    assert chars == list(ladic_chars_of(F))
+    assert s_phis == [s_phi(F, S, phi) for phi in chars]
+    assert inductions == [decomposition_data(F, p).induced_trivial for p in S]
