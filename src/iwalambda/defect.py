@@ -243,8 +243,12 @@ def lambda_shift_imaginary(field: FieldSpec, S) -> LambdaExpr:
     used internally by reflection_check, and the CLI warns).
     """
     field.require_mirror_valid()
-    S = _validate_tame(field, S)
-    real_part, _ = parity_split(chi_S(field, S), field.tau_bar)
+    return _lambda_shift_imaginary(field, chi_S(field, _validate_tame(field, S)))
+
+
+def _lambda_shift_imaginary(field: FieldSpec, chi: VirtualChar) -> LambdaExpr:
+    """lambda_shift_imaginary for a tame S, given chi = chi_S(field, S)."""
+    real_part, _ = parity_split(chi, field.tau_bar)
     shift = mirror(real_part - VirtualChar.one(field.delta), field)
     return LambdaExpr({BaseSymbol.LAMBDA_IMAG: 1}, shift)
 
@@ -260,7 +264,12 @@ def lambda_wild(field: FieldSpec, S) -> LambdaExpr:
     S = validate_prime_set(S)
     if field.ell not in S:
         raise PrimeSetError("wild case requires ell in S")
-    shift = mirror(chi_S(field, S) - VirtualChar.one(field.delta), field)
+    return _lambda_wild(field, chi_S(field, S))
+
+
+def _lambda_wild(field: FieldSpec, chi: VirtualChar) -> LambdaExpr:
+    """lambda_wild for an S containing ell, given chi = chi_S(field, S)."""
+    shift = mirror(chi - VirtualChar.one(field.delta), field)
     return LambdaExpr(
         {BaseSymbol.LAMBDA_REAL_MIRROR: 1, BaseSymbol.LAMBDA_IMAG_MIRROR: 1}, shift
     )
@@ -295,8 +304,9 @@ def kappa(field: FieldSpec, S, T) -> KappaResult:
     return KappaResult(CaseTag.WILD_MIRROR, defect_character(field, T))
 
 
-def _lambda_expr_for(field: FieldSpec, ram) -> LambdaExpr:
-    """lambda of the ram-ramified module as an affine expr.
+def _lambda_expr_for(field: FieldSpec, ram: tuple[int, ...], chi: VirtualChar) -> LambdaExpr:
+    """lambda of the ram-ramified module as an affine expr, for a validated
+    ram and chi = chi_S(field, ram).
 
     ram wild: the reflected closed form, independent of the decomposed
     set.  ram tame (so the decomposed set contains ell): the two parity
@@ -304,15 +314,14 @@ def _lambda_expr_for(field: FieldSpec, ram) -> LambdaExpr:
     kappa = -1 is fed through the identity, so the baseline is the bare
     unramified symbols.
     """
-    ram = validate_prime_set(ram)
     if field.ell in ram:
-        return lambda_wild(field, ram)
+        return _lambda_wild(field, chi)
     if not ram:
         return LambdaExpr(
             {BaseSymbol.LAMBDA_REAL: 1, BaseSymbol.LAMBDA_IMAG: 1},
             VirtualChar.zero(field.delta),
         )
-    return lambda_shift_real(field, ram) + lambda_shift_imaginary(field, ram)
+    return lambda_shift_real(field, ram) + _lambda_shift_imaginary(field, chi)
 
 
 class ReflectionReport:
@@ -337,18 +346,22 @@ def reflection_check(field: FieldSpec, S, T) -> ReflectionReport:
     Both sides are assembled from independently computed pieces (shift
     formulas with per-orbit maxima on one side, weighted inductions and
     the case-resolved defect on the other), so agreement is an arithmetic
-    identity check, not a tautology.  kappa(S, T) runs first and checks
-    the prime sets and the hypotheses, S before T.
+    identity check, not a tautology.  S and then T are validated once, up
+    front, and kappa(S, T) checks the hypotheses; everything after that
+    reads the validated sets, and chi_S of each set is computed once.
     """
     field.require_mirror_valid()
+    S = validate_prime_set(S)
+    T = validate_prime_set(T)
     one = VirtualChar.one(field.delta)
 
     kappa_st = kappa(field, S, T)
-    rhs_inner = _lambda_expr_for(field, S) - kappa_st.value + (chi_S(field, T) - one)
+    chi_s, chi_t = chi_S(field, S), chi_S(field, T)
+    rhs_inner = _lambda_expr_for(field, S, chi_s) - kappa_st.value + (chi_t - one)
     rhs = mirror_lambda_expr(rhs_inner, field)
 
     kappa_ts = kappa(field, T, S)
-    lhs = _lambda_expr_for(field, T) - kappa_ts.value + (chi_S(field, S) - one)
+    lhs = _lambda_expr_for(field, T, chi_t) - kappa_ts.value + (chi_s - one)
 
     return ReflectionReport(lhs == rhs, lhs, rhs, kappa_ts, kappa_st)
 

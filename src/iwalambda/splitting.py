@@ -6,6 +6,12 @@ element congruent to p mod m' and to 1 mod p^a.  The splitting exponent
 n_p (the place above p stops splitting at layer n_p of the Z_ell-tower)
 has the closed form v_ell(p^(ell-1) - 1) - 1; an independent place-count
 oracle keeps that formula honest.
+
+A prime set is checked once: validate_prime_set returns a private tuple
+subclass (sorted, distinct primes) and hands an argument of that type back
+unchanged, so a caller that validated S can pass it on to chi_S and to the
+defect layer without any prime being tested again.  Anything else, a list
+or a plain tuple included, is always checked.
 """
 
 from __future__ import annotations
@@ -114,7 +120,19 @@ def decomposition_data(field: FieldSpec, p: int) -> PrimeLocalData:
     return PrimeLocalData(p, decomposition, inertia, frob, n_p, weight)
 
 
+class _PrimeSet(tuple):
+    """A prime set validate_prime_set has checked: sorted, distinct primes.
+
+    It equals and hashes as the sorted plain tuple."""
+
+    __slots__ = ()
+
+
 def validate_prime_set(S) -> tuple[int, ...]:
+    """The sorted primes of S, rejecting repeats and non-primes in the
+    order given; a set this function returned comes back unchanged."""
+    if type(S) is _PrimeSet:
+        return S
     S = tuple(S)
     if len(set(S)) != len(S):
         repeated = next(p for i, p in enumerate(S) if p in S[:i])
@@ -122,7 +140,7 @@ def validate_prime_set(S) -> tuple[int, ...]:
     for p in S:
         if not is_prime(p):
             raise PrimeSetError(f"{p} is not prime")
-    return tuple(sorted(S))
+    return _PrimeSet(sorted(S))
 
 
 def chi_p(field: FieldSpec, p: int) -> VirtualChar:

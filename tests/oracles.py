@@ -162,6 +162,31 @@ def s_phi_by_scan(field, S, phi) -> tuple[int, ...]:
     )
 
 
+def decomposition_by_scan(field, p: int) -> tuple[frozenset, frozenset]:
+    """(D_p, I_p) as sets of elements of Delta, by scanning every unit mod m.
+
+    With m = p^a * m' (p not dividing m'), I_p is the image of the units
+    congruent to 1 mod m', and D_p the image of the units whose residue
+    mod m' lies in <p mod m'>.
+    """
+    m = m_prime = field.conductor
+    while m_prime % p == 0:
+        m_prime //= p
+    powers, x = set(), 1 % m_prime
+    while x not in powers:
+        powers.add(x)
+        x = x * p % m_prime
+    decomposition, inertia = set(), set()
+    for u in range(1, m):
+        if math.gcd(u, m) != 1 or u % m_prime not in powers:
+            continue
+        g = field.delta_element(u)
+        decomposition.add(g)
+        if u % m_prime == 1 % m_prime:
+            inertia.add(g)
+    return frozenset(decomposition), frozenset(inertia)
+
+
 def norm_by_iterates(M: FiniteGammaModule, g):
     """N g = g + sigma g + ... + sigma^(n-1) g, each iterate through M.apply."""
     total, x = M.module.identity(), g

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import iwalambda.characters
 import iwalambda.defect
+import iwalambda.splitting
 from iwalambda.characters import VirtualChar, inner_product, parity_split, teichmuller, trivial_char
 from iwalambda.defect import (
     ORACLE_LEVEL_CAP,
@@ -101,7 +102,9 @@ class TestPrimeSetValidation:
     @pytest.mark.parametrize("entry", sorted(PRIME_SET_ENTRY_POINTS))
     @pytest.mark.parametrize(
         "S, message",
-        [([7, 13, 7], "7 is repeated: a prime list must be a set"), ([7, 9], "9 is not prime"), ([1], "1 is not prime")],
+        [([7, 13, 7], "7 is repeated: a prime list must be a set"), ([7, 9], "9 is not prime"), ([1], "1 is not prime"),
+         # a plain tuple is checked too: only a set validate_prime_set returned skips the check
+         ((7, 13, 7), "7 is repeated"), ((7, 9), "9 is not prime")],
     )
     def test_raw_list_rejected(self, entry, S, message):
         with pytest.raises(PrimeSetError, match=message):
@@ -328,6 +331,34 @@ class TestReflection:
     def test_s_reported_before_t(self, S, T, message):
         with pytest.raises(PrimeSetError, match=message):
             reflection_check(F3, S, T)
+
+    def test_t_reported_before_the_hypotheses(self):
+        # S and T overlap, but the non-prime in T is what is reported
+        with pytest.raises(PrimeSetError, match="9 is not prime"):
+            reflection_check(F3, [3, 7], [7, 9])
+
+    def test_each_set_is_checked_once_and_summed_once(self, monkeypatch):
+        # a call of validate_prime_set that returns a new object ran the check
+        F, S, T = field_spec(3, 33), [29, 3], [5, 43]
+        checked, summed = [], []
+        validate, chi = iwalambda.splitting.validate_prime_set, iwalambda.defect.chi_S
+
+        def counting_validate(primes):
+            out = validate(primes)
+            if out is not primes:
+                checked.append(tuple(primes))
+            return out
+
+        def counting_chi(field, primes):
+            summed.append(tuple(primes))
+            return chi(field, primes)
+
+        for module in (iwalambda.splitting, iwalambda.defect):
+            monkeypatch.setattr(module, "validate_prime_set", counting_validate)
+        monkeypatch.setattr(iwalambda.defect, "chi_S", counting_chi)
+        assert reflection_check(F, S, T).holds
+        assert checked == [(29, 3), (5, 43)]
+        assert summed == [(3, 29), (5, 43)]
 
 
 class TestImoLambda:

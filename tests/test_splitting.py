@@ -15,8 +15,9 @@ from iwalambda.splitting import (
     decomposition_data,
     splitting_exponent,
     splitting_exponent_oracle,
+    validate_prime_set,
 )
-from oracles import PROPERTY_FIELDS, induce_trivial_by_scan, primes_below
+from oracles import PROPERTY_FIELDS, decomposition_by_scan, induce_trivial_by_scan, primes_below
 
 
 class TestDecomposition:
@@ -57,6 +58,14 @@ class TestDecomposition:
     def test_composite_rejected(self):
         with pytest.raises(PrimeSetError):
             decomposition_data(field_spec(3, 3), 6)
+
+    @pytest.mark.parametrize("key", [*PROPERTY_FIELDS, (3, 24, ())], ids=str)
+    def test_matches_residue_scan(self, key):
+        # every p < 100: unramified, tame ramified, wild, and p = 2 with (Z/8)* at m = 24
+        F = field_spec(*key)
+        for p in primes_below(100):
+            d = decomposition_data(F, p)
+            assert (frozenset(d.decomposition), frozenset(d.inertia)) == decomposition_by_scan(F, p), (key, p)
 
 
 class TestSplittingExponent:
@@ -172,6 +181,18 @@ class TestInducedTrivialCache:
             chi_p(F, 2)
             chi_S(F, [2, 7, 13])
         assert len(calls) == 3
+
+
+class TestValidatedPrimeSet:
+    def test_equals_and_hashes_as_the_sorted_tuple(self):
+        primes = validate_prime_set([13, 3, 7])
+        assert primes == (3, 7, 13) and hash(primes) == hash((3, 7, 13))
+        assert {(3, 7, 13): "S"}[primes] == "S" and repr(primes) == "(3, 7, 13)"
+        assert validate_prime_set(()) == () and validate_prime_set([]) == ()
+
+    def test_a_validated_set_comes_back_unchanged(self):
+        primes = validate_prime_set((7, 2))
+        assert validate_prime_set(primes) is primes
 
 
 class TestFieldValidation:
