@@ -114,8 +114,7 @@ class LadicChar(Record):
 
     __slots__ = ("group", "ell", "orbit", "parity")
 
-    def __init__(self, group: FiniteAbelianGroup, ell: int, orbit: tuple[AbsChar, ...],
-                 parity: str | None = None):
+    def __init__(self, group: FiniteAbelianGroup, ell: int, orbit: tuple[AbsChar, ...], parity: str):
         self._set_fields(group, ell, orbit, parity)
 
     @property

@@ -297,12 +297,7 @@ def cmd_reflect(args) -> dict:
 
 def cmd_simulate(args) -> dict:
     polys = tuple(parse_poly(p) for p in (args.poly or ()))
-    try:
-        spec = ElementaryModuleSpec(int(args.ell), rho=args.rho, polys=polys, mus=_int_list(args.mu))
-    except IwalambdaError:
-        raise
-    except ValueError as exc:
-        raise IwalambdaError(str(exc)) from exc
+    spec = ElementaryModuleSpec(int(args.ell), rho=args.rho, polys=polys, mus=_int_list(args.mu))
     n_min, n_max = args.n_min, args.n
     if n_max < n_min:
         raise IwalambdaError("--n must be at least --n-min")
@@ -352,10 +347,7 @@ def cmd_simulate(args) -> dict:
 
 
 def cmd_ambig(args) -> dict:
-    try:
-        data = AmbiguousInput(args.class_val, _int_list(args.ram), args.deg, args.unit_index)
-    except ValueError as exc:
-        raise IwalambdaError(str(exc)) from exc
+    data = AmbiguousInput(args.class_val, _int_list(args.ram), args.deg, args.unit_index)
     return {
         "field": None,
         "input": {"h": data.h, "ram": list(data.ram), "deg": data.deg, "unit_index": data.unit_index},
@@ -366,12 +358,9 @@ def cmd_ambig(args) -> dict:
 
 def cmd_cohomology(args) -> dict:
     factors = _int_list(args.factors)
-    try:
-        group = FiniteAbelianGroup(factors)
-        sigma = tuple(_int_list(row) for row in args.sigma.split(";"))
-        module = FiniteGammaModule(group, sigma, args.order)
-    except ValueError as exc:
-        raise IwalambdaError(str(exc)) from exc
+    group = FiniteAbelianGroup(factors)
+    sigma = tuple(_int_list(row) for row in args.sigma.split(";"))
+    module = FiniteGammaModule(group, sigma, args.order)
     order = tate_h0(module)  # = |H^1|: the Herbrand quotient of a finite module is 1
     return {
         "field": None,

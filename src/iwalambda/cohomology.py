@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from math import prod
 
-from .errors import InconsistentDataError
+from .errors import InconsistentDataError, IwalambdaError
 from .exact import Record, diagonal_matrix, identity_matrix, smith_normal_form, transpose
 from .groups import FiniteAbelianGroup, GroupElement, Subgroup, quotient, subgroup_generated
 
@@ -45,16 +45,16 @@ class FiniteGammaModule(Record):
         k = self.module.rank
         d = self.module.invariant_factors
         if len(self.sigma) != k or any(len(r) != k for r in self.sigma):
-            raise ValueError("sigma must be a square matrix of the module rank")
+            raise IwalambdaError("sigma must be a square matrix of the module rank")
         if self.order_n < 1:
-            raise ValueError("the actor order must be positive")
+            raise IwalambdaError("the actor order must be positive")
         if any((self.sigma[i][j] * d[j]) % d[i] for i in range(k) for j in range(k)):
-            raise ValueError("sigma does not preserve the relation lattice")
+            raise IwalambdaError("sigma does not preserve the relation lattice")
         # invertibility: sigma must be surjective on the finite module
         if _cokernel_order(list(map(list, self.sigma)), d) != 1:
-            raise ValueError("sigma is not an automorphism")
+            raise IwalambdaError("sigma is not an automorphism")
         if _power_and_norm(self.sigma, self.order_n, d)[0] != identity_matrix(k):
-            raise ValueError("sigma^order_n is not the identity")
+            raise IwalambdaError("sigma^order_n is not the identity")
 
     def apply(self, g: GroupElement) -> GroupElement:
         if g.group != self.module:
@@ -179,7 +179,7 @@ class AmbiguousInput(Record):
     def __init__(self, h: int, ram: tuple[int, ...], deg: int, unit_index: int):
         ram = tuple(int(r) for r in ram)
         if h < 0 or deg < 0 or unit_index < 0 or any(r < 0 for r in ram):
-            raise ValueError("valuations must be nonnegative")
+            raise IwalambdaError("valuations must be nonnegative")
         self._set_fields(h, ram, deg, unit_index)
 
 

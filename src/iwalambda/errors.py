@@ -6,7 +6,8 @@ without importing this module.
 
 
 class IwalambdaError(ValueError):
-    """Base class for package errors."""
+    """Base class for package errors, and itself malformed input: the
+    constructors that read command-line data raise it directly."""
 
     exit_code = 1
 

@@ -72,8 +72,9 @@ _MR_EXACT_BELOW = 3317044064679887385961981
 
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin with the 13 prime bases 2..41, exact below
-    3317044064679887385961981; ScaleError at and above that bound."""
-    if n < 2:
+    3317044064679887385961981; ScaleError at and above that bound.  Only an
+    int can be prime: 7.0 is not."""
+    if not isinstance(n, int) or n < 2:
         return False
     if n >= _MR_EXACT_BELOW:
         raise ScaleError(f"primality test is exact only below {_MR_EXACT_BELOW}")

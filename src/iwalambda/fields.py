@@ -15,7 +15,7 @@ from functools import lru_cache
 
 from .errors import FieldError
 from .exact import is_prime
-from .groups import GroupElement, Subgroup, subgroup_generated, unit_group
+from .groups import GroupElement, subgroup_generated, unit_group
 
 
 class FieldSpec:
@@ -34,8 +34,9 @@ class FieldSpec:
             gens = [self.units.dlog(h) for h in self.subgroup_gens]
         except ValueError as exc:
             raise FieldError(f"subgroup generator not a unit mod {conductor}") from exc
-        self.subgroup: Subgroup = subgroup_generated(self.units.group, gens)
-        self._quotient = self.subgroup.quotient()
+        # Delta is reduced from H's elements, which are not kept: |H| reaches
+        # 16,664 at m = 99987, H = <2>
+        self._quotient = subgroup_generated(self.units.group, gens).quotient()
         self.delta = self._quotient.group
         self.tau_bar = self.delta_element(conductor - 1)
         # reduction mod ell is a homomorphism and ell | m: the generators decide
@@ -67,7 +68,7 @@ class FieldSpec:
         )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def field_spec(ell: int, conductor: int, subgroup_gens: tuple[int, ...] = ()) -> FieldSpec:
     """Cached FieldSpec factory; most sweeps revisit a handful of fields."""
     return FieldSpec(ell, conductor, subgroup_gens)

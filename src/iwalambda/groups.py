@@ -15,7 +15,7 @@ import itertools
 from functools import lru_cache
 from math import gcd
 
-from .errors import FieldError, ScaleError
+from .errors import FieldError, IwalambdaError, ScaleError
 from .exact import Record, _snf_with_transform, crt, diagonal_matrix, factorize, identity_matrix, transpose
 
 UNIT_GROUP_MODULUS_CAP = 10**5
@@ -27,9 +27,9 @@ class FiniteAbelianGroup(Record):
     def __init__(self, invariant_factors: tuple[int, ...]):
         d = tuple(int(x) for x in invariant_factors)
         if any(x < 2 for x in d):
-            raise ValueError("invariant factors must be >= 2")
+            raise IwalambdaError("invariant factors must be >= 2")
         if any(d[i + 1] % d[i] != 0 for i in range(len(d) - 1)):
-            raise ValueError("invariant factors must form a divisibility chain")
+            raise IwalambdaError("invariant factors must form a divisibility chain")
         object.__setattr__(self, "invariant_factors", d)
 
     # the group, element and character types compare on every hot path, so
@@ -341,6 +341,9 @@ class UnitGroupModM:
         fact = sorted(factorize(m).items())
         gens: list[int] = []
         orders: list[int] = []
+        # per prime p | m: the block's generators lifted to 1 mod m/p^a, which
+        # generate the units = 1 mod m/p^a, the inertia group at p
+        self.local_gens: dict[int, tuple[int, ...]] = {}
         # per block: (p^a, whether -1 is a separate generator, log table of
         # the block's last generator indexed by residue mod p^a)
         self._blocks: list[tuple[int, bool, list[int]]] = []
@@ -348,9 +351,9 @@ class UnitGroupModM:
             q = p**a
             rest = m // q
             block = _unit_gens_prime_power(p, a)
-            for g, o in block:
-                gens.append(crt([g, 1], [q, rest]) if rest > 1 else g % m)
-                orders.append(o)
+            self.local_gens[p] = tuple(crt([g, 1], [q, rest]) if rest > 1 else g % m for g, _ in block)
+            gens.extend(self.local_gens[p])
+            orders.extend(o for _, o in block)
             if block:
                 g, o = block[-1]
                 self._blocks.append((q, len(block) == 2, _power_table(g, o, q)))

@@ -22,7 +22,7 @@ from math import comb
 from types import MappingProxyType
 
 from ._kernels import snf_mod_valuations
-from .errors import ScaleError
+from .errors import IwalambdaError, ScaleError
 from .exact import Record, diagonal_matrix, is_prime, smith_normal_form, transpose, valuation
 
 # Matrices are ell^n-dimensional; this cap admits 3^5 and 5^3 so that a
@@ -44,18 +44,18 @@ class ElementaryModuleSpec(Record):
     def __init__(self, ell: int, rho: int = 0, polys: tuple[tuple[int, ...], ...] = (),
                  mus: tuple[int, ...] = ()):
         if ell == 2 or not is_prime(ell):
-            raise ValueError("ell must be an odd prime")
+            raise IwalambdaError("ell must be an odd prime")
         if rho < 0:
-            raise ValueError("rho must be nonnegative")
+            raise IwalambdaError("rho must be nonnegative")
         polys = tuple(tuple(int(c) for c in f) for f in polys)
         mus = tuple(int(m) for m in mus)
         for f in polys:
             if len(f) < 2 or f[-1] != 1:
-                raise ValueError("polynomials must be monic of degree >= 1")
+                raise IwalambdaError("polynomials must be monic of degree >= 1")
             if any(c % ell for c in f[:-1]):
-                raise ValueError("non-leading coefficients must be divisible by ell")
+                raise IwalambdaError("non-leading coefficients must be divisible by ell")
         if any(m < 1 for m in mus):
-            raise ValueError("ell-power exponents must be positive")
+            raise IwalambdaError("ell-power exponents must be positive")
         self._set_fields(ell, rho, polys, mus)
 
     @property

@@ -1,7 +1,8 @@
 """Decomposition data of rational primes in K and in the cyclotomic tower.
 
 For p with m = p^a * m' (p not dividing m'), inertia in Delta is the image
-of the units congruent to 1 mod m', and the Frobenius class is the CRT
+of the units congruent to 1 mod m', which the generators (Z/m)* keeps for
+p (field.units.local_gens) span, and the Frobenius class is the CRT
 element congruent to p mod m' and to 1 mod p^a.  The splitting exponent
 n_p (the place above p stops splitting at layer n_p of the Z_ell-tower)
 has the closed form v_ell(p^(ell-1) - 1) - 1; an independent place-count
@@ -11,7 +12,9 @@ A prime set is checked once: validate_prime_set returns a private tuple
 subclass (sorted, distinct primes) and hands an argument of that type back
 unchanged, so a caller that validated S can pass it on to chi_S and to the
 defect layer without any prime being tested again.  Anything else, a list
-or a plain tuple included, is always checked.
+or a plain tuple included, is always checked, and a prime must be an int:
+7.0 is rejected, and the per-(field, p) cache is typed so that it never
+answers for 7.0 with the entry of 7.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from .errors import PrimeSetError
 from .exact import crt, is_prime, mult_order, valuation
 from .fields import FieldSpec
 from .groups import GroupElement, Subgroup, subgroup_generated
-from .groups import _unit_gens_prime_power
 
 
 class PrimeLocalData:
@@ -88,32 +90,25 @@ def splitting_exponent_oracle(ell: int, p: int) -> int:
     return valuation(cur, ell)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def decomposition_data(field: FieldSpec, p: int) -> PrimeLocalData:
     """Delta_p and I_p inside Delta, from residues mod the conductor."""
     if not is_prime(p):
         raise PrimeSetError(f"{p} is not prime")
-    m = field.conductor
-    a = 0
-    m_prime = m
+    m = m_prime = field.conductor
     while m_prime % p == 0:
         m_prime //= p
-        a += 1
-    q = p**a
+    q = m // m_prime
 
-    inertia_gens = []
-    if a > 0:
-        for g, _ in _unit_gens_prime_power(p, a):
-            residue = crt([1, g], [m_prime, q]) if m_prime > 1 else g % m
-            inertia_gens.append(field.delta_element(residue))
+    inertia_gens = [field.delta_element(g) for g in field.units.local_gens.get(p, ())]
     inertia = subgroup_generated(field.delta, inertia_gens)
 
     if m_prime > 1:
-        frob_residue = crt([p % m_prime, 1], [m_prime, q]) if a > 0 else p % m
+        frob_residue = crt([p % m_prime, 1], [m_prime, q]) if q > 1 else p % m
         frob = field.delta_element(frob_residue)
     else:
         frob = field.delta.identity()
-    decomposition = subgroup_generated(field.delta, [g for g in inertia_gens] + [frob])
+    decomposition = subgroup_generated(field.delta, inertia_gens + [frob])
 
     n_p = 0 if p == field.ell else splitting_exponent(field.ell, p)
     weight = 1 if p == field.ell else field.ell**n_p

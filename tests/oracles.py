@@ -14,8 +14,8 @@ from fractions import Fraction
 
 from iwalambda.characters import LadicChar, VirtualChar, all_abs_chars, parity_of_value
 from iwalambda.cohomology import FiniteGammaModule
-from iwalambda.errors import FieldError
-from iwalambda.exact import smith_normal_form
+from iwalambda.errors import FieldError, ScaleError
+from iwalambda.exact import euler_phi, smith_normal_form
 from iwalambda.groups import FiniteAbelianGroup, Subgroup
 from iwalambda.iwasawa import FitParameters, LevelOrderTable
 from iwalambda.splitting import decomposition_data
@@ -150,8 +150,17 @@ def mirror_by_products(chi, omega):
 
 
 def contains_mu_ell_by_scan(field) -> bool:
-    """K contains the ell-th roots of unity iff every h in H is 1 mod ell."""
-    return all(field.units.residue_of(h) % field.ell == 1 for h in field.subgroup)
+    """K contains the ell-th roots of unity iff every h in H is 1 mod ell;
+    H is listed as the residues mod m that products of its generators reach."""
+    m = field.conductor
+    H, frontier = {1 % m}, [1 % m]
+    while frontier:
+        x = frontier.pop()
+        for h in field.subgroup_gens:
+            if (y := x * h % m) not in H:
+                H.add(y)
+                frontier.append(y)
+    return all(h % field.ell == 1 for h in H)
 
 
 def s_phi_by_scan(field, S, phi) -> tuple[int, ...]:
@@ -162,14 +171,22 @@ def s_phi_by_scan(field, S, phi) -> tuple[int, ...]:
     )
 
 
+# the largest phi(m) decomposition_by_scan maps through Delta one unit at a
+# time; the fields it is tested on have phi(m) <= 80
+SCAN_PHI_CAP = 10**4
+
+
 def decomposition_by_scan(field, p: int) -> tuple[frozenset, frozenset]:
     """(D_p, I_p) as sets of elements of Delta, by scanning every unit mod m.
 
     With m = p^a * m' (p not dividing m'), I_p is the image of the units
     congruent to 1 mod m', and D_p the image of the units whose residue
-    mod m' lies in <p mod m'>.
+    mod m' lies in <p mod m'>.  ScaleError, before any unit is scanned,
+    when phi(m) exceeds SCAN_PHI_CAP.
     """
     m = m_prime = field.conductor
+    if euler_phi(m) > SCAN_PHI_CAP:
+        raise ScaleError(f"oracle scale exceeded: phi({m}) > {SCAN_PHI_CAP}")
     while m_prime % p == 0:
         m_prime //= p
     powers, x = set(), 1 % m_prime

@@ -16,6 +16,8 @@ from hypothesis import strategies as st
 import iwalambda.cli
 import iwalambda.cohomology
 import iwalambda.defect
+import iwalambda.errors
+import iwalambda.groups
 import iwalambda.iwasawa
 from iwalambda.cli import main, parse_poly
 from oracles import primes_below
@@ -321,6 +323,37 @@ class TestAmbigAndCohomology:
         rc, out, err = run_cli("cohomology", "--factors", "3", "--sigma=2", "--order", "1000000000000")
         assert (rc, err) == (0, "")
         assert json.loads(out)["result"] == {"h0": 1, "h1": 1, "herbrand": "1"}
+
+
+# each check of the four constructors that read command-line data, fed one
+# bad input: (constructor call, message)
+G4 = iwalambda.groups.FiniteAbelianGroup((4,))
+CONSTRUCTOR_ERRORS = [
+    (lambda: iwalambda.iwasawa.ElementaryModuleSpec(9), "ell must be an odd prime"),
+    (lambda: iwalambda.iwasawa.ElementaryModuleSpec(3, rho=-1), "rho must be nonnegative"),
+    (lambda: iwalambda.iwasawa.ElementaryModuleSpec(3, polys=((3, 2),)), "polynomials must be monic of degree >= 1"),
+    (lambda: iwalambda.iwasawa.ElementaryModuleSpec(3, polys=((1, 1),)), "non-leading coefficients must be divisible by ell"),
+    (lambda: iwalambda.iwasawa.ElementaryModuleSpec(3, mus=(0,)), "ell-power exponents must be positive"),
+    (lambda: iwalambda.cohomology.AmbiguousInput(1, (1, -1), 0, 0), "valuations must be nonnegative"),
+    (lambda: iwalambda.groups.FiniteAbelianGroup((1,)), "invariant factors must be >= 2"),
+    (lambda: iwalambda.groups.FiniteAbelianGroup((4, 6)), "invariant factors must form a divisibility chain"),
+    (lambda: iwalambda.cohomology.FiniteGammaModule(G4, ((1, 0),), 1), "sigma must be a square matrix of the module rank"),
+    (lambda: iwalambda.cohomology.FiniteGammaModule(G4, ((1,),), 0), "the actor order must be positive"),
+    (lambda: iwalambda.cohomology.FiniteGammaModule(
+        iwalambda.groups.FiniteAbelianGroup((2, 4)), ((1, 0), (1, 1)), 2), "sigma does not preserve the relation lattice"),
+    (lambda: iwalambda.cohomology.FiniteGammaModule(G4, ((2,),), 2), "sigma is not an automorphism"),
+    (lambda: iwalambda.cohomology.FiniteGammaModule(G4, ((3,),), 3), "sigma^order_n is not the identity"),
+]
+
+
+class TestConstructorErrors:
+    @pytest.mark.parametrize("build, message", CONSTRUCTOR_ERRORS, ids=[m.replace(" ", "_") for _, m in CONSTRUCTOR_ERRORS])
+    def test_input_error_with_exit_code_1(self, build, message):
+        # the base class itself, so main reports it as exit 1 with no translation
+        with pytest.raises(iwalambda.errors.IwalambdaError) as info:
+            build()
+        assert type(info.value) is iwalambda.errors.IwalambdaError
+        assert info.value.exit_code == 1 and str(info.value) == message
 
 
 class TestReflectVerify:

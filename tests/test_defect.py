@@ -31,7 +31,14 @@ from iwalambda.defect import (
 )
 from iwalambda.errors import PrimeSetError, ScaleError
 from iwalambda.fields import FieldSpec, field_spec
-from iwalambda.splitting import chi_S, decomposition_data, splitting_exponent
+from iwalambda.splitting import (
+    chi_S,
+    chi_p,
+    decomposition_data,
+    splitting_exponent,
+    splitting_exponent_oracle,
+    validate_prime_set,
+)
 from oracles import PROPERTY_FIELDS, all_ladic_chars_by_walk, induce_trivial_by_scan, primes_below, s_phi_by_scan
 
 F3 = field_spec(3, 3)
@@ -72,27 +79,35 @@ class TestSPhi:
 
 F15 = field_spec(3, 15)
 PHI15 = imaginary_chars_of(F15)[0]
-# each public entry point that takes a prime set, fed the raw list S; the
-# wild prime 3 is added where the entry point needs it in S
+# each public entry point that takes a prime set, fed a field F and the raw
+# list S; the wild prime 3 is added where the entry point needs it in S
 PRIME_SET_ENTRY_POINTS = {
-    "s_phi": lambda S: s_phi(F15, S, PHI15),
-    "defect_character": lambda S: defect_character(F15, S),
-    "defect_oracle": lambda S: defect_oracle(F15, S),
-    "lambda_shift_real": lambda S: lambda_shift_real(F15, S),
-    "lambda_shift_real_oracle": lambda S: lambda_shift_real_oracle(F15, S),
-    "lambda_shift_imaginary": lambda S: lambda_shift_imaginary(F15, S),
-    "lambda_wild": lambda S: lambda_wild(F15, [3, *S]),
-    "chi_S": lambda S: chi_S(F15, S),
-    "kappa_S": lambda S: kappa(F15, [3, *S], []),
-    "kappa_T": lambda S: kappa(F15, [3], S),
-    "reflection_check_S": lambda S: reflection_check(F15, [3, *S], []),
-    "reflection_check_T": lambda S: reflection_check(F15, [3], S),
-    "imo_lambda": lambda S: imo_lambda(3, S),
+    "s_phi": lambda F, S: s_phi(F, S, PHI15),
+    "defect_character": lambda F, S: defect_character(F, S),
+    "defect_oracle": lambda F, S: defect_oracle(F, S),
+    "lambda_shift_real": lambda F, S: lambda_shift_real(F, S),
+    "lambda_shift_real_oracle": lambda F, S: lambda_shift_real_oracle(F, S),
+    "lambda_shift_imaginary": lambda F, S: lambda_shift_imaginary(F, S),
+    "lambda_wild": lambda F, S: lambda_wild(F, [3, *S]),
+    "chi_S": lambda F, S: chi_S(F, S),
+    "kappa_S": lambda F, S: kappa(F, [3, *S], []),
+    "kappa_T": lambda F, S: kappa(F, [3], S),
+    "reflection_check_S": lambda F, S: reflection_check(F, [3, *S], []),
+    "reflection_check_T": lambda F, S: reflection_check(F, [3], S),
+    "imo_lambda": lambda F, S: imo_lambda(3, S),
+    "validate_prime_set": lambda F, S: validate_prime_set(S),
 }
 TAME_ENTRY_POINTS = (
     "s_phi", "defect_character", "defect_oracle", "lambda_shift_real", "lambda_shift_real_oracle",
     "lambda_shift_imaginary", "imo_lambda",
 )
+# the entry points that take one prime p
+PRIME_ENTRY_POINTS = {
+    "decomposition_data": lambda F, p: decomposition_data(F, p),
+    "chi_p": lambda F, p: chi_p(F, p),
+    "splitting_exponent": lambda F, p: splitting_exponent(3, p),
+    "splitting_exponent_oracle": lambda F, p: splitting_exponent_oracle(3, p),
+}
 
 
 class TestPrimeSetValidation:
@@ -108,12 +123,29 @@ class TestPrimeSetValidation:
     )
     def test_raw_list_rejected(self, entry, S, message):
         with pytest.raises(PrimeSetError, match=message):
-            PRIME_SET_ENTRY_POINTS[entry](S)
+            PRIME_SET_ENTRY_POINTS[entry](F15, S)
 
     @pytest.mark.parametrize("entry", TAME_ENTRY_POINTS)
     def test_tame_entry_rejects_ell(self, entry):
         with pytest.raises(PrimeSetError, match="tame"):
-            PRIME_SET_ENTRY_POINTS[entry]([7, 3])
+            PRIME_SET_ENTRY_POINTS[entry](F15, [7, 3])
+
+    def test_non_int_prime_rejected_before_and_after_the_int_is_cached(self):
+        # 7.0 == 7 and hash(7.0) == hash(7): a cache keyed on the value alone
+        # would answer for 7.0 once 7 is in it.  F is a new object, so no
+        # cache holds anything for it on the first pass.
+        F = FieldSpec(3, 15)
+        for _ in ("before", "after"):
+            for entry in PRIME_SET_ENTRY_POINTS.values():
+                with pytest.raises(PrimeSetError, match=r"^7\.0 is not prime$"):
+                    entry(F, [7.0])
+            for entry in PRIME_ENTRY_POINTS.values():
+                with pytest.raises(PrimeSetError, match="prime"):
+                    entry(F, 7.0)
+            for entry in PRIME_SET_ENTRY_POINTS.values():
+                entry(F, [7])
+            for entry in PRIME_ENTRY_POINTS.values():
+                entry(F, 7)
 
 
 class TestDefect:

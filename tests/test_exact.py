@@ -269,7 +269,6 @@ class TestRecords:
         assert ElementaryModuleSpec(3, rho=1) == ElementaryModuleSpec(3, 1, (), ())
         assert LevelOrderTable().entries == {}
         assert LevelOrderTable() == LevelOrderTable({})
-        assert LadicChar(G26, 5, ()).parity is None
 
     @records
     def test_repr_names_the_class_and_its_fields(self, x, names):

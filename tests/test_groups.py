@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from iwalambda.characters import AbsChar, all_abs_chars
 from iwalambda.errors import FieldError, ScaleError
+from iwalambda.exact import euler_phi, factorize
 from iwalambda.groups import (
     FiniteAbelianGroup,
     all_subgroups,
@@ -50,6 +51,24 @@ class TestUnitGroup:
             for a, b in zip(units, reversed(units)):
                 assert U.residue_of(U.dlog(a)) == a
                 assert U.dlog(a * b) == U.dlog(a) + U.dlog(b)
+
+    def test_local_generators(self):
+        # for each p^a exactly dividing m, the lifts kept for p are 1 mod m / p^a,
+        # and their products reach phi(p^a) residues: all the units = 1 mod m / p^a
+        for m in (3, 15, 24, 40, 99, 210, 1000, 4096):
+            U = unit_group(m)
+            assert sorted(U.local_gens) == sorted(factorize(m))
+            for p, a in factorize(m).items():
+                rest = m // p**a
+                assert all(g % rest == 1 % rest for g in U.local_gens[p])
+                reached, frontier = {1}, [1]
+                while frontier:
+                    x = frontier.pop()
+                    for g in U.local_gens[p]:
+                        if (y := x * g % m) not in reached:
+                            reached.add(y)
+                            frontier.append(y)
+                assert len(reached) == euler_phi(p**a), (m, p)
 
     def test_conductor_cap(self):
         with pytest.raises(ScaleError, match="conductor too large"):

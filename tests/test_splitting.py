@@ -1,4 +1,6 @@
+import tracemalloc
 from functools import lru_cache
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -6,9 +8,9 @@ from hypothesis import strategies as st
 
 from iwalambda import splitting
 from iwalambda.characters import VirtualChar, all_abs_chars, induce_trivial
-from iwalambda.errors import PrimeSetError
-from iwalambda.fields import field_spec
-from iwalambda.groups import subgroup_generated
+from iwalambda.errors import PrimeSetError, ScaleError
+from iwalambda.fields import FieldSpec, field_spec
+from iwalambda.groups import subgroup_generated, unit_group
 from iwalambda.splitting import (
     chi_S,
     chi_p,
@@ -17,7 +19,7 @@ from iwalambda.splitting import (
     splitting_exponent_oracle,
     validate_prime_set,
 )
-from oracles import PROPERTY_FIELDS, decomposition_by_scan, induce_trivial_by_scan, primes_below
+from oracles import PROPERTY_FIELDS, SCAN_PHI_CAP, decomposition_by_scan, induce_trivial_by_scan, primes_below
 
 
 class TestDecomposition:
@@ -58,6 +60,12 @@ class TestDecomposition:
     def test_composite_rejected(self):
         with pytest.raises(PrimeSetError):
             decomposition_data(field_spec(3, 3), 6)
+
+    def test_residue_scan_has_a_scale_limit(self):
+        # phi(3 * 10007) = 20012: refused from the conductor alone, before any unit is mapped
+        assert SCAN_PHI_CAP < 20012
+        with pytest.raises(ScaleError, match="oracle scale"):
+            decomposition_by_scan(SimpleNamespace(conductor=3 * 10007), 2)
 
     @pytest.mark.parametrize("key", [*PROPERTY_FIELDS, (3, 24, ())], ids=str)
     def test_matches_residue_scan(self, key):
@@ -208,6 +216,24 @@ class TestFieldValidation:
             FieldSpec(3, 10)
         with pytest.raises(FieldError, match="not a unit"):
             FieldSpec(3, 15, (5,))
+        # ell = 3.0 is refused, also with the field of ell = 3 in the cache
+        field_spec(3, 15)
+        with pytest.raises(FieldError, match="odd prime"):
+            field_spec(3.0, 15)
+
+    def test_keeps_no_element_list_of_h(self):
+        # H = <2> mod 99987 has 16,664 elements; Delta is reduced from them,
+        # but the field keeps only the quotient map onto Delta = Z/4
+        unit_group(99987)  # shared by every field of this conductor: built outside the count
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            F = FieldSpec(3, 99987, (2,))
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert F.delta.invariant_factors == (4,) and not hasattr(F, "subgroup")
+        assert kept < 500_000
 
     def test_power_of_two_conductor_component(self):
         # 24 = 8 * 3: the two-generator inertia at p = 2 fills the whole group
