@@ -10,43 +10,45 @@ unknown subcommand or flag, a malformed list) or failed internal check,
 2 invalid field, 3 invalid prime set, 4 scale exceeded, 5 inconsistent
 data.  A failure writes one line to stderr and nothing to stdout:
 "error: ...", or "internal check failed: ..." for a failed check.
+Each call compiles only the layers its subcommand runs; library imports
+of iwalambda and its submodules load as they always have.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import re
 import sys
 
-from .characters import AbsChar, VirtualChar, char_table, teichmuller
-from .cohomology import AmbiguousInput, FiniteGammaModule, ambiguous_valuation, tate_h0
-from .defect import (
-    ORACLE_LEVEL_CAP,
-    CaseTag,
-    LambdaExpr,
-    defect_character,
-    defect_oracle,
-    imo_lambda,
-    ladic_chars_of,
-    lambda_shift_imaginary,
-    lambda_shift_real,
-    lambda_shift_real_oracle,
-    lambda_wild,
-    reflection_check,
-)
 from .errors import IwalambdaError, ScaleError
-from .fields import FieldSpec, field_spec
-from .groups import FiniteAbelianGroup
-from .iwasawa import (
-    MATRIX_DIM_CAP,
-    ElementaryModuleSpec,
-    fit_parameters,
-    level_order_table,
-    poly_level_valuation_direct,
-    poly_level_valuations,
-)
-from .splitting import splitting_exponent, splitting_exponent_oracle
+
+
+def _lazy(name: str):
+    """Register iwalambda.<name>, to be executed on its first attribute access."""
+    fullname = f"{__package__}.{name}"
+    if fullname in sys.modules:  # already imported: returned unchanged
+        return sys.modules[fullname]
+    spec = importlib.util.find_spec(fullname)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[fullname] = module
+    spec.loader.exec_module(module)
+    setattr(sys.modules[__package__], name, module)  # as the import system binds a submodule
+    return module
+
+
+# every layer is in sys.modules from here on, where perfbench/tracer.py looks for it
+exact, groups, fields, characters, splitting, defect, iwasawa, _kernels, cohomology = map(
+    _lazy, ("exact", "groups", "fields", "characters", "splitting", "defect", "iwasawa", "_kernels", "cohomology"))
+
+
+def __getattr__(name: str):  # PEP 562: iwalambda.cli.<public name> is the package's current binding
+    if name not in sys.modules[__package__].__all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(sys.modules[__package__], name)
+
 
 SCHEMA = "iwalambda/1"
 
@@ -54,7 +56,7 @@ SCHEMA = "iwalambda/1"
 # ---------------------------------------------------------------------------
 # rendering
 
-def _char_label(chi: AbsChar, omega: AbsChar | None) -> str:
+def _char_label(chi: characters.AbsChar, omega: characters.AbsChar | None) -> str:
     if chi.is_trivial:
         return "one"
     if omega is not None and chi == omega:
@@ -62,23 +64,23 @@ def _char_label(chi: AbsChar, omega: AbsChar | None) -> str:
     return "chi(" + ",".join(str(c) for c in chi.coeffs) + ")"
 
 
-def _render_virtual(x: VirtualChar, field: FieldSpec) -> dict[str, int]:
+def _render_virtual(x: characters.VirtualChar, field: fields.FieldSpec) -> dict[str, int]:
     """Multiplicities by orbit label; x must be a sum of whole orbits."""
     if x.group != field.delta or not x.is_frobenius_stable(field.ell):
         raise AssertionError("virtual character is not Frobenius-stable")
-    omega = teichmuller(field).rep if field.contains_mu_ell else None
-    reps = (phi.rep for phi in ladic_chars_of(field))
+    omega = characters.teichmuller(field).rep if field.contains_mu_ell else None
+    reps = (phi.rep for phi in defect.ladic_chars_of(field))
     return {_char_label(chi, omega): m for chi in reps if (m := x.multiplicity(chi))}
 
 
-def _render_lambda(expr: LambdaExpr, field: FieldSpec) -> dict:
+def _render_lambda(expr: defect.LambdaExpr, field: fields.FieldSpec) -> dict:
     return {
         "base": {sym.value: k for sym, k in sorted(expr.base.items(), key=lambda kv: kv[0].value)},
         "shift": _render_virtual(expr.shift, field),
     }
 
 
-def _render_field(field: FieldSpec) -> dict:
+def _render_field(field: fields.FieldSpec) -> dict:
     return {
         "ell": field.ell,
         "conductor": field.conductor,
@@ -139,7 +141,7 @@ _TERM = re.compile(r"^([+-]?\d*)\*?(T(?:\^(\d+))?)?$")
 def parse_poly(text: str) -> tuple[int, ...]:
     """Parse 'T^3+3T^2+3T' into ascending coefficients (0, 3, 3, 1).
 
-    A degree past MATRIX_DIM_CAP (the --verify lattice has dimension
+    A degree past iwasawa.MATRIX_DIM_CAP (the --verify lattice has dimension
     ell^n + deg f, which cmd_simulate bounds as a whole) or a term past the
     int-from-str digit limit is a ScaleError, raised before any coefficient
     tuple is built."""
@@ -156,8 +158,8 @@ def parse_poly(text: str) -> tuple[int, ...]:
             deg = 0 if t_part is None else (int(exp_part) if exp_part else 1)
         except ValueError:  # the int-from-str digit limit, the only ValueError here
             raise ScaleError(f"a polynomial term has more than {sys.get_int_max_str_digits()} digits") from None
-        if deg > MATRIX_DIM_CAP:
-            raise ScaleError(f"polynomial degree {deg} exceeds the matrix dimension cap {MATRIX_DIM_CAP}")
+        if deg > iwasawa.MATRIX_DIM_CAP:
+            raise ScaleError(f"polynomial degree {deg} exceeds the matrix dimension cap {iwasawa.MATRIX_DIM_CAP}")
         coeffs[deg] = coeffs.get(deg, 0) + coeff
     if not coeffs:
         raise IwalambdaError(f"empty polynomial: {text!r}")
@@ -185,8 +187,8 @@ def _load_config(path: str) -> dict[str, str]:
     return out
 
 
-def _field_from_args(args) -> FieldSpec:
-    return field_spec(int(args.ell), int(args.conductor), _int_list(args.subgroup))
+def _field_from_args(args) -> fields.FieldSpec:
+    return fields.field_spec(int(args.ell), int(args.conductor), _int_list(args.subgroup))
 
 
 # ---------------------------------------------------------------------------
@@ -195,9 +197,9 @@ def _field_from_args(args) -> FieldSpec:
 def cmd_chars(args) -> dict:
     field = _field_from_args(args)
     field.require_mirror_valid()
-    table = char_table(field)
+    table = characters.char_table(field)
     omega = table.chars[table.omega]
-    chars = ladic_chars_of(field)  # in the order of table.orbits
+    chars = table.ladic_chars()  # in the order of table.orbits
     labels = [_char_label(phi.rep, omega) for phi in chars]
     result = [
         {
@@ -215,17 +217,15 @@ def cmd_chars(args) -> dict:
 def cmd_defect(args) -> dict:
     field = _field_from_args(args)
     S = _int_list(args.primes)
-    value = defect_character(field, S)
-    checked = False
+    value = defect.defect_character(field, S)
     if args.verify:
-        if defect_oracle(field, S) != value:
+        if defect.defect_oracle(field, S) != value:
             raise AssertionError("defect oracle disagrees with the closed form")
-        checked = True
     return {
         "field": _render_field(field),
         "input": {"S": sorted(S)},
         "result": _render_virtual(value, field),
-        "oracle_checked": checked,
+        "oracle_checked": args.verify,
     }
 
 
@@ -234,34 +234,32 @@ def cmd_lambda(args) -> dict:
     S = _int_list(args.primes)
     parity = args.parity
     if parity == "real":
-        expr = lambda_shift_real(field, S)
+        expr = defect.lambda_shift_real(field, S)
     elif parity == "imaginary":
-        expr = lambda_shift_imaginary(field, S)
+        expr = defect.lambda_shift_imaginary(field, S)
         if not S:  # after the checks, so a rejected input gets one error line only
             sys.stderr.write(
                 "warning: the imaginary shift formula evaluated at S = {} is the literal "
                 "out-of-range value (shift -omega); the baseline has no shift\n"
             )
     else:
-        expr = lambda_wild(field, S)
-    checked = False
+        expr = defect.lambda_wild(field, S)
     if args.verify:
-        for p in S:
-            if p != field.ell and splitting_exponent(field.ell, p) != splitting_exponent_oracle(field.ell, p):
-                raise AssertionError("splitting exponent oracle disagrees")
+        exponents = {p: splitting.splitting_exponent(field.ell, p) for p in S if p != field.ell}
+        if any(n_p != splitting.splitting_exponent_oracle(field.ell, p) for p, n_p in exponents.items()):
+            raise AssertionError("splitting exponent oracle disagrees")
         # the counting oracle of the real shift runs up to its level cap (S is tame here)
-        if parity == "real" and all(splitting_exponent(field.ell, p) <= ORACLE_LEVEL_CAP for p in S):
-            if lambda_shift_real_oracle(field, S) != expr.shift:
+        if parity == "real" and max(exponents.values(), default=0) <= defect.ORACLE_LEVEL_CAP:
+            if defect.lambda_shift_real_oracle(field, S) != expr.shift:
                 raise AssertionError("lambda-shift oracle disagrees with the closed form")
-        checked = True
     payload = {"S": sorted(S), "parity": parity}
     if field.ell == field.conductor and parity == "real" and field.ell not in S:
-        payload["imo_lambda"] = imo_lambda(field.ell, S)
+        payload["imo_lambda"] = defect.imo_lambda(field.ell, S)
     return {
         "field": _render_field(field),
         "input": payload,
         "result": _render_lambda(expr, field),
-        "oracle_checked": checked,
+        "oracle_checked": args.verify,
     }
 
 
@@ -269,18 +267,16 @@ def cmd_reflect(args) -> dict:
     field = _field_from_args(args)
     S = _int_list(args.set_s)
     T = _int_list(args.set_t)
-    report = reflection_check(field, S, T)
-    checked = False
+    report = defect.reflection_check(field, S, T)
     if args.verify:
         # a wild_mirror kappa(T, S) is the defect character of S, kappa(S, T) that of T
         for tame, k in ((S, report.kappa_lhs), (T, report.kappa_rhs)):
             tame = tuple(p for p in tame if p != field.ell)
             if not tame:
                 continue
-            value = k.value if k.case is CaseTag.WILD_MIRROR else defect_character(field, tame)
-            if value != defect_oracle(field, tame):
+            value = k.value if k.case is defect.CaseTag.WILD_MIRROR else defect.defect_character(field, tame)
+            if value != defect.defect_oracle(field, tame):
                 raise AssertionError("defect oracle disagrees with the closed form")
-        checked = True
     return {
         "field": _render_field(field),
         "input": {"S": sorted(S), "T": sorted(T)},
@@ -291,13 +287,13 @@ def cmd_reflect(args) -> dict:
             "lhs": _render_lambda(report.lhs, field),
             "rhs": _render_lambda(report.rhs, field),
         },
-        "oracle_checked": checked,
+        "oracle_checked": args.verify,
     }
 
 
 def cmd_simulate(args) -> dict:
     polys = tuple(parse_poly(p) for p in (args.poly or ()))
-    spec = ElementaryModuleSpec(int(args.ell), rho=args.rho, polys=polys, mus=_int_list(args.mu))
+    spec = iwasawa.ElementaryModuleSpec(int(args.ell), rho=args.rho, polys=polys, mus=_int_list(args.mu))
     n_min, n_max = args.n_min, args.n
     if n_max < n_min:
         raise IwalambdaError("--n must be at least --n-min")
@@ -312,18 +308,16 @@ def cmd_simulate(args) -> dict:
         raise ScaleError(f"{power} has more than {limit} digits")
     # --verify reduces a Sylvester lattice of ell^n + deg f columns at each level
     size = max((spec.ell**n_max + len(f) - 1 for f in spec.polys), default=0) if args.verify else 0
-    if size > MATRIX_DIM_CAP:
-        raise ScaleError(f"the --verify lattice dimension {size} exceeds the matrix dimension cap {MATRIX_DIM_CAP}")
-    table = level_order_table(spec, n_min, n_max, exponent_offset=args.offset)
-    fit = fit_parameters(table, spec.ell) if len(table.entries) >= 4 else None
-    checked = False
+    if size > (dim_cap := iwasawa.MATRIX_DIM_CAP):
+        raise ScaleError(f"the --verify lattice dimension {size} exceeds the matrix dimension cap {dim_cap}")
+    table = iwasawa.level_order_table(spec, n_min, n_max, exponent_offset=args.offset)
+    fit = iwasawa.fit_parameters(table, spec.ell) if len(table.entries) >= 4 else None
     if args.verify:
         for f in spec.polys:
             for n in range(n_min, n_max + 1):
-                cap = n + args.offset
-                if sum(poly_level_valuations(f, spec.ell, n, cap)) != poly_level_valuation_direct(f, spec.ell, n, cap):
+                level = (f, spec.ell, n, n + args.offset)
+                if sum(iwasawa.poly_level_valuations(*level)) != iwasawa.poly_level_valuation_direct(*level):
                     raise AssertionError("relation-lattice construction disagrees")
-        checked = True
     return {
         "field": None,
         "input": {
@@ -342,26 +336,26 @@ def cmd_simulate(args) -> dict:
                 else "not yet stable"
             ),
         },
-        "oracle_checked": checked,
+        "oracle_checked": args.verify,
     }
 
 
 def cmd_ambig(args) -> dict:
-    data = AmbiguousInput(args.class_val, _int_list(args.ram), args.deg, args.unit_index)
+    data = cohomology.AmbiguousInput(args.class_val, _int_list(args.ram), args.deg, args.unit_index)
     return {
         "field": None,
         "input": {"h": data.h, "ram": list(data.ram), "deg": data.deg, "unit_index": data.unit_index},
-        "result": {"valuation": ambiguous_valuation(data)},
+        "result": {"valuation": cohomology.ambiguous_valuation(data)},
         "oracle_checked": False,
     }
 
 
 def cmd_cohomology(args) -> dict:
     factors = _int_list(args.factors)
-    group = FiniteAbelianGroup(factors)
+    group = groups.FiniteAbelianGroup(factors)
     sigma = tuple(_int_list(row) for row in args.sigma.split(";"))
-    module = FiniteGammaModule(group, sigma, args.order)
-    order = tate_h0(module)  # = |H^1|: the Herbrand quotient of a finite module is 1
+    module = cohomology.FiniteGammaModule(group, sigma, args.order)
+    order = cohomology.tate_h0(module)  # = |H^1|: the Herbrand quotient of a finite module is 1
     return {
         "field": None,
         "input": {"factors": list(factors), "sigma": [list(r) for r in sigma], "order": args.order},

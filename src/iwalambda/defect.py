@@ -28,6 +28,7 @@ from .characters import (
     teichmuller_coeffs,
 )
 from .errors import PrimeSetError, ScaleError
+from .exact import is_prime
 from .fields import FieldSpec
 from .splitting import chi_S, decomposition_data, splitting_exponent, validate_prime_set
 
@@ -378,6 +379,8 @@ def imo_lambda(ell: int, S) -> int:
     is empty.  Must match the trivial-character component of the real
     lambda shift for the conductor-ell field.
     """
+    if ell == 2 or not is_prime(ell):
+        raise PrimeSetError("ell must be an odd prime")
     S = validate_prime_set(S)
     if ell in S:
         raise PrimeSetError("S must be tame")

@@ -13,7 +13,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-import iwalambda.cli
 import iwalambda.cohomology
 import iwalambda.defect
 import iwalambda.errors
@@ -169,7 +168,7 @@ class TestLambda:
 
     def test_verify_runs_the_real_shift_oracle_up_to_its_cap(self, monkeypatch):
         calls = []  # the stub records S and returns None, which no shift equals
-        monkeypatch.setattr(iwalambda.cli, "lambda_shift_real_oracle", lambda F, S: calls.append(S))
+        monkeypatch.setattr(iwalambda.defect, "lambda_shift_real_oracle", lambda F, S: calls.append(S))
         field = ["lambda", "--ell", "3", "--conductor", "15"]
         rc, out, err = run_inprocess([*field, "--primes", "7,13", "--verify"])
         assert (rc, out, err) == (1, "", "internal check failed: lambda-shift oracle disagrees with the closed form\n")
@@ -216,8 +215,7 @@ class TestReflect:
             calls.append(tuple(S))
             return original(field, S)
 
-        for module in (iwalambda.cli, iwalambda.defect):
-            monkeypatch.setattr(module, "defect_character", counted)
+        monkeypatch.setattr(iwalambda.defect, "defect_character", counted)
         rc, out, _ = run_inprocess(["reflect", "--ell", "3", "--conductor", "15", "--S", "3", "--T", "7,13"])
         assert rc == 0 and json.loads(out)["result"]["case"] == "wild_mirror"
         assert calls == [(7, 13)]
@@ -374,8 +372,7 @@ class TestReflectVerify:
             calls.append(tuple(primes))
             return original(field, primes)
 
-        for module in (iwalambda.cli, iwalambda.defect):
-            monkeypatch.setattr(module, "defect_character", counted)
+        monkeypatch.setattr(iwalambda.defect, "defect_character", counted)
         rc, out, _ = run_inprocess(["reflect", "--ell", "3", "--conductor", "15", "--S", S, "--T", T, "--verify"])
         assert rc == 0 and json.loads(out)["oracle_checked"] is True
         assert calls == sets

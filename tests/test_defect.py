@@ -403,6 +403,11 @@ class TestImoLambda:
         with pytest.raises(PrimeSetError):
             imo_lambda(3, [3, 7])
 
+    @pytest.mark.parametrize("ell, S", [(9, [7]), (4, []), (1, [2]), (2, [3])])
+    def test_ell_must_be_an_odd_prime(self, ell, S):
+        with pytest.raises(PrimeSetError, match="^ell must be an odd prime$"):
+            imo_lambda(ell, S)
+
     def test_matches_trivial_component_of_real_shift(self):
         rng = random.Random(13)
         for ell in (3, 5):

@@ -1,5 +1,6 @@
-"""The package namespace loads its layers on first use (PEP 562), and its
-source holds no floating point.
+"""The package namespace loads its layers on first use (PEP 562), the CLI
+runs only the layers its subcommand uses, and the source holds no
+floating point.
 
 Each namespace check runs in a fresh interpreter, because this test
 process has long since imported every layer.
@@ -12,6 +13,8 @@ import subprocess
 import sys
 import textwrap
 
+import pytest
+
 import iwalambda
 
 SRC = os.path.dirname(os.path.dirname(iwalambda.__file__))
@@ -19,6 +22,7 @@ SRC = os.path.dirname(os.path.dirname(iwalambda.__file__))
 # the modules perfbench/tracer.py wraps, all reached through iwalambda.cli
 TRACED = ("exact", "groups", "fields", "characters", "splitting", "defect", "iwasawa", "_kernels",
           "cohomology", "cli")
+LAYERS = TRACED[:-1]  # the layers iwalambda.cli registers and executes on first use
 
 
 def run_fresh(code: str) -> str:
@@ -111,6 +115,70 @@ class TestLazyNamespace:
     def test_cli_loads_every_traced_module(self):
         loaded = loaded_after("import iwalambda.cli")
         assert {f"iwalambda.{name}" for name in TRACED} <= loaded
+
+
+def layers_run_after(code: str) -> set[str]:
+    """The layers that have executed after `code`, which must leave all of
+    them in sys.modules.  A layer is read by its type only: an attribute
+    access would run it, and LazyLoader's placeholder type turns back into
+    types.ModuleType when the layer runs."""
+    out = run_fresh(textwrap.dedent(code) + textwrap.dedent(f"""
+        import sys, types
+        registered = [sys.modules.get("iwalambda." + name) for name in {LAYERS!r}]
+        assert None not in registered, registered
+        print(" ".join(name for name, m in zip({LAYERS!r}, registered) if type(m) is types.ModuleType))
+    """))
+    return set(out.splitlines()[-1].split())
+
+
+class TestLazyCliLayers:
+    def test_import_registers_every_layer_and_runs_none(self):
+        assert layers_run_after("import iwalambda.cli") == set()
+
+    @pytest.mark.parametrize(
+        "argv, ran",
+        [
+            (["simulate", "--ell", "3", "--poly", "T^2+3T", "--mu", "1", "--n", "3", "--verify"],
+             {"iwasawa", "exact", "_kernels"}),
+            (["cohomology", "--factors", "3,9", "--sigma", "2,0;0,4", "--order", "6"],
+             {"cohomology", "groups", "exact"}),
+            (["ambig", "--class-val", "1", "--ram", "1,1", "--deg", "1"], {"cohomology", "groups", "exact"}),
+            (["defect", "--ell", "3", "--conductor", "15", "--primes", "7,13", "--verify"],
+             {"defect", "splitting", "characters", "fields", "groups", "exact"}),
+            (["chars", "--ell", "3", "--conductor", "15"], {"characters", "fields", "groups", "exact"}),
+        ],
+        ids=lambda v: v[0] if isinstance(v, list) else None,
+    )
+    def test_a_subcommand_runs_only_its_layers(self, argv, ran):
+        assert layers_run_after(f"""
+            import contextlib, io
+            import iwalambda.cli
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert iwalambda.cli.main({argv!r}) == 0
+        """) == ran
+
+    def test_a_later_import_binds_the_layer_on_the_package(self):
+        out = run_fresh("""
+            import iwalambda.cli
+            import iwalambda.defect
+            print(iwalambda.defect.reflection_check.__name__)
+        """)
+        assert out.strip() == "reflection_check"
+
+    def test_an_imported_layer_is_kept(self):
+        run_fresh("""
+            import types
+            import iwalambda.defect as defect
+            import iwalambda.cli
+            assert iwalambda.cli.defect is defect and type(defect) is types.ModuleType
+        """)
+
+    def test_public_names_read_through_the_cli_module(self):
+        run_fresh("""
+            import iwalambda.cli, iwalambda.defect
+            assert iwalambda.cli.defect_character is iwalambda.defect.defect_character
+            assert not hasattr(iwalambda.cli, "__path__") and not hasattr(iwalambda.cli, "is_prime")
+        """)
 
 
 def float_sites(tree: ast.AST) -> list[tuple[int, str]]:
