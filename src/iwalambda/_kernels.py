@@ -18,11 +18,17 @@ def snf_mod_valuations(rows: list[list[int]], ell: int, n: int) -> list[int]:
     pivot (free or deeply divisible direction) reports n.  Equivalently the
     result is [min(v_i, n)] over the divisors d_i of the integer Smith form,
     with v(0) treated as n.
+
+    Entries may be any integers and rows may be tuples; the rows are copied,
+    not reduced, and the caller's rows are left as they were.  No answer
+    depends on an entry's residue class beyond mod q = ell^n: the pivot
+    search tests divisibility by a power of ell dividing q, the pivot is
+    read mod q, and every row the elimination touches is rewritten mod q.
     """
     if n < 0:
         raise ValueError("cap exponent must be nonnegative")
     q = ell**n
-    a = [[x % q for x in row] for row in rows]
+    a = [list(row) for row in rows]
     nrows = len(a)
     if nrows == 0:
         return []

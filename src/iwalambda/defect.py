@@ -184,7 +184,7 @@ def _kill_counts(field: FieldSpec, S) -> dict:
     for chi in all_abs_chars(field.delta):
         if parity_of_value(chi.value_at(field.tau_bar), e) != IMAGINARY:
             continue
-        steps = [field.ell**d.n_p for d in data if all(chi.value_at(a) == 0 for a in d.decomposition.elements)]
+        steps = [field.ell**d.n_p for d in data if all(chi.value_at(a) == 0 for a in d.decomposition.generators)]
         if steps:
             table[chi] = [sum(c * step % q0 == 0 for step in steps) for c in range(q0)]
     return table
@@ -196,8 +196,8 @@ def defect_oracle(field: FieldSpec, S) -> VirtualChar:
     In Delta x Z/ell^n0 the decomposition group G_p is generated by
     (I_p, 0) and (Frob_p, ell^{n_p}), so it projects onto D_p and onto
     <ell^{n_p}>; the orders are coprime, so G_p is the product of the two
-    projections and (chi, psi_c) dies on G_p iff chi is trivial on every
-    element of D_p and c * ell^{n_p} = 0 mod ell^n0.  The multiplicity of
+    projections and (chi, psi_c) dies on G_p iff chi is trivial on D_p
+    (on its generators) and c * ell^{n_p} = 0 mod ell^n0.  The multiplicity of
     an imaginary chi is #{c : k_c >= 1} in the table of _kill_counts.
     """
     counts = _kill_counts(field, S)

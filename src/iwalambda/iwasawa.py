@@ -76,7 +76,13 @@ def omega_poly(ell: int, n: int) -> tuple[int, ...]:
 
 
 def _mult_matrix_mod(f: tuple[int, ...], ell: int, n: int, q: int) -> list[list[int]]:
-    """Matrix of multiplication by f on Z[T]/(omega_n), entries mod q."""
+    """Matrix of multiplication by f on Z[T]/(omega_n), entries mod q.
+
+    Entry (i, j) is the T^i coefficient of T^j * f0, f0 = f mod omega_n.
+    While T^j * f0 has degree below dim, column j is f0 moved down j rows,
+    so the first dim - deg f0 columns are a band, f0[i - j]; only the last
+    deg f0 columns wrap around omega_n and take a multiply-by-T step each.
+    """
     dim = ell**n
     omega = omega_poly(ell, n)
     # T^dim = -sum_{1<=j<dim} C(dim, j) T^j  (mod omega_n)
@@ -87,15 +93,26 @@ def _mult_matrix_mod(f: tuple[int, ...], ell: int, n: int, q: int) -> list[list[
         nxt = [0] + col[:-1]
         return [(a + top * b) % q for a, b in zip(nxt, fold)] if top else nxt
 
-    # column 0 is f mod omega_n, by Horner over f's coefficients
-    col = [0] * dim
+    # f0 (column 0) by Horner over f's coefficients
+    f0 = [0] * dim
     for c in reversed(f):
+        f0 = times_t(f0)
+        f0[0] = (f0[0] + c) % q
+    deg = dim - 1  # deg f0, taken as 0 when f0 = 0
+    while deg and not f0[deg]:
+        deg -= 1
+    band = dim - deg
+    # row i of the band is f0[i], f0[i-1], ..., a window of reversed f0
+    padded = [0] * (band - 1) + f0[deg::-1] + [0] * (band - 1)
+    rows = [padded[s:s + band] for s in range(dim - 1, -1, -1)]
+    col = [0] * (band - 1) + f0[:deg + 1]  # column band - 1
+    tail = []
+    for _ in range(deg):
         col = times_t(col)
-        col[0] = (col[0] + c) % q
-    cols = [col]
-    for _ in range(dim - 1):
-        cols.append(times_t(cols[-1]))
-    return transpose(cols)
+        tail.append(col)
+    for row, entries in zip(rows, zip(*tail)):
+        row.extend(entries)
+    return rows
 
 
 def poly_level_valuations(f: tuple[int, ...], ell: int, n: int, cap: int) -> list[int]:
@@ -143,7 +160,7 @@ def level_order(spec: ElementaryModuleSpec, n: int, exponent_offset: int = 0) ->
         total += dim * min(m, cap)
     if spec.polys:
         if dim > MATRIX_DIM_CAP:
-            raise ScaleError("scale exceeded")
+            raise ScaleError(f"ell^n = {dim} exceeds the matrix dimension cap {MATRIX_DIM_CAP}")
         for f in spec.polys:
             total += sum(poly_level_valuations(f, ell, n, cap))
     return total

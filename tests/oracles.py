@@ -333,6 +333,16 @@ def _mod_monic(a: list[int], f: tuple[int, ...]) -> list[int]:
     return (a + [0] * k)[:k]
 
 
+def mult_matrix_by_division(f: tuple[int, ...], ell: int, n: int, q: int) -> list[list[int]]:
+    """Entry (i, j) is the T^i coefficient of T^j * f mod omega_n, mod q:
+    each column by its own long division by the monic omega_n over Z, with
+    no multiply-by-T step and nothing shared with the library build."""
+    d = ell**n
+    omega = tuple(math.comb(d, k) if k else 0 for k in range(d + 1))
+    cols = [_mod_monic([0] * j + list(f), omega) for j in range(d)]
+    return [[col[i] % q for col in cols] for i in range(d)]
+
+
 def poly_level_valuation_weierstrass(f: tuple[int, ...], ell: int, n: int, cap: int) -> int:
     """log_ell |Z[T]/(f, omega_n, ell^cap)| with the quotient by f taken
     first: the Smith form of multiplication by omega_n mod f on Z[T]/(f),

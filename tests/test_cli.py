@@ -254,8 +254,8 @@ class TestSimulate:
         assert json.loads(out)["result"]["fit"] == "not yet stable"
 
     def test_scale_exceeded(self):
-        rc, _, _ = run_cli("simulate", "--ell", "3", "--poly", "T", "--n", "6")
-        assert rc == 4
+        rc, out, err = run_cli("simulate", "--ell", "3", "--poly", "T", "--n", "6")
+        assert (rc, out, err) == (4, "", "error: ell^n = 729 exceeds the matrix dimension cap 250\n")
 
     @pytest.mark.parametrize("poly, message", [
         ("T^99999999", "polynomial degree 99999999 exceeds the matrix dimension cap 250"),

@@ -12,6 +12,7 @@ from iwalambda.iwasawa import (
     ElementaryModuleSpec,
     FitParameters,
     LevelOrderTable,
+    _mult_matrix_mod,
     fit_parameters,
     level_order,
     level_order_table,
@@ -19,7 +20,12 @@ from iwalambda.iwasawa import (
     poly_level_valuation_direct,
     poly_level_valuations,
 )
-from oracles import fit_parameters_by_elimination, fit_window_by_elimination, poly_level_valuation_weierstrass
+from oracles import (
+    fit_parameters_by_elimination,
+    fit_window_by_elimination,
+    mult_matrix_by_division,
+    poly_level_valuation_weierstrass,
+)
 
 
 def random_distinguished(rng, ell, max_deg=3):
@@ -138,7 +144,7 @@ class TestLevelOrder:
             assert level_order(spec, 0) == 0
 
     def test_scale_cap(self):
-        with pytest.raises(ScaleError):
+        with pytest.raises(ScaleError, match=r"^ell\^n = 729 exceeds the matrix dimension cap 250$"):
             level_order(ElementaryModuleSpec(3, polys=[(0, 1)]), 6)
         # closed-form summands are not matrix-bound
         assert level_order(ElementaryModuleSpec(3, rho=1, mus=[2]), 6) > 0
@@ -192,17 +198,58 @@ class TestDualConstruction:
         assert kernel == poly_level_valuation_direct(f, ell, n, cap)
         assert kernel == poly_level_valuation_weierstrass(f, ell, n, cap)
 
+    def test_mult_matrix_matches_long_division(self):
+        # the valuation checks above cannot see a transposed or shifted band,
+        # since those keep the Smith form; this pins every entry.  Cases per
+        # level: f = omega_n (f0 = 0), omega_n plus a short tail (a wide
+        # band), deg f0 = ell^n - 1 (a one-column band), deg f = 2 ell^n, and
+        # random non-monic f up to that degree.  ell^n = 125 runs each case at
+        # one offset (the reference costs up to 0.5 s there), the rest at all.
+        rng = random.Random(23)
+        for ell in (3, 5):
+            for n in range(4):
+                dim = ell**n
+                omega = omega_poly(ell, n)
+                short = [rng.randint(-9, 9) for _ in range(min(3, dim))]
+                cases = [
+                    omega,
+                    tuple(a + b for a, b in zip(omega, short + [0] * (dim + 1))),
+                    tuple(rng.randint(-20, 20) for _ in range(dim - 1)) + (rng.choice([1, -2, 7]),),
+                    tuple(rng.randint(-20, 20) for _ in range(2 * dim)) + (1,),
+                    tuple(rng.randint(-20, 20) for _ in range(rng.randint(1, 2 * dim + 1))),
+                ]
+                for i, f in enumerate(cases):
+                    for offset in (i % 3,) if dim > 27 else range(3):
+                        q = ell ** (n + offset)
+                        assert _mult_matrix_mod(f, ell, n, q) == mult_matrix_by_division(f, ell, n, q), (
+                            ell, n, offset, f)
+
     def test_kernel_matches_integer_smith_form(self):
+        # small entries; entries far outside [0, ell^n) (+-k ell^n + r, up to
+        # 10^6); small entries mixed with exact multiples of ell^n; and tuple
+        # rows.  The kernel copies its argument and must leave it as it was
         rng = random.Random(22)
-        for _ in range(40):
-            ncols = rng.randint(1, 6)
-            rows = [
-                [rng.randint(-50, 50) for _ in range(ncols)]
-                for _ in range(rng.randint(1, 6))
-            ]
+        for draw in range(160):
+            kind = draw % 4
             ell = rng.choice([3, 5])
             n = rng.randint(0, 4)
-            a = snf_mod_valuations([r[:] for r in rows], ell, n)
+            q = ell**n
+            ncols = rng.randint(1, 6)
+
+            def entry():
+                if kind == 1:
+                    k = rng.randint(0, 10**6 // q)
+                    return rng.choice([-1, 1]) * k * q + rng.randint(-q + 1, q - 1)
+                if kind == 2 and rng.random() < 0.5:
+                    return rng.choice([-1, 1]) * q * rng.choice([1, ell, 10**4])
+                return rng.randint(-50, 50)
+
+            rows = [[entry() for _ in range(ncols)] for _ in range(rng.randint(1, 6))]
+            arg = [tuple(r) for r in rows] if kind == 3 else [r[:] for r in rows]
+            before = [tuple(r) for r in arg]
+            a = snf_mod_valuations(arg, ell, n)
+            assert [tuple(r) for r in arg] == before
+            assert all(type(r) is (tuple if kind == 3 else list) for r in arg)
             d = smith_normal_form(rows)
             expect = sorted(
                 [min(valuation(x, ell), n) if x else n for x in d]
