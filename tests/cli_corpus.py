@@ -1,0 +1,100 @@
+"""The committed CLI corpus: argv -> (exit code, sha256 of stdout, stderr).
+
+Run from the repository root to regenerate tests/data/cli_corpus.jsonl:
+
+    PYTHONPATH=src python tests/cli_corpus.py
+
+The argvs are the distinct cli_cold argvs of benchmark seeds 1-3, read
+from perfbench/workloads.py (which imports nothing from iwalambda), then
+EXTRA_ARGVS.  Every argv runs in one process through cli.main, as
+tests/test_cli_corpus.py replays them.  Regenerating the file is a
+reviewed act: each line whose digest or stderr moves needs a reason.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import importlib.util
+import io
+import json
+import pathlib
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+CORPUS = ROOT / "tests" / "data" / "cli_corpus.jsonl"
+SEEDS = (1, 2, 3)
+
+EXTRA_ARGVS = [
+    # |H| = 8332: a subgroup far larger than the field's rank
+    "chars --ell 3 --conductor 99987 --subgroup 4",
+    # fields whose basis of Delta depends on how H's lattice is reduced
+    "chars --ell 3 --conductor 120 --subgroup 19",
+    "chars --ell 5 --conductor 95 --subgroup 56",
+    "chars --ell 7 --conductor 105 --subgroup 8",
+    # n_1459 = 5 is over the real-shift oracle's level cap
+    "lambda --ell 3 --conductor 15 --primes 1459,7 --verify",
+    # one bad input per check of each constructor that reads command-line data
+    "chars --ell 9 --conductor 9",
+    "chars --ell 3 --conductor 14",
+    "chars --ell 3 --conductor 0",
+    "chars --ell 3 --conductor 300003",
+    "chars --ell 3 --conductor 15 --subgroup 3",
+    "simulate --ell 9 --poly T+3 --n 2",
+    "simulate --ell 3 --rho -1 --n 2",
+    "simulate --ell 3 --poly 2T+3 --n 2",
+    "simulate --ell 3 --poly T+1 --n 2",
+    "simulate --ell 3 --mu 0 --n 2",
+    "ambig --class-val 1 --ram 1,-1 --deg 0",
+    "cohomology --factors 1 --sigma=1 --order 1",
+    "cohomology --factors 4,6 --sigma=1,0;0,1 --order 1",
+    "cohomology --factors 4 --sigma=1,0 --order 1",
+    "cohomology --factors 4 --sigma=1 --order 0",
+    "cohomology --factors 2,4 --sigma=1,0;1,1 --order 2",
+    "cohomology --factors 4 --sigma=2 --order 2",
+    "cohomology --factors 4 --sigma=3 --order 3",
+]
+
+
+def corpus_argvs() -> list[list[str]]:
+    """The distinct cli_cold argvs of SEEDS in first-seen order, then EXTRA_ARGVS."""
+    spec = importlib.util.spec_from_file_location("_workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    seen: dict[tuple[str, ...], None] = {}
+    for seed in SEEDS:
+        for op in workloads.cli_cold(seed)["ops"]:
+            seen.setdefault(tuple(op["argv"]), None)
+    for line in EXTRA_ARGVS:
+        seen.setdefault(tuple(line.split(" ")), None)
+    return [list(argv) for argv in seen]
+
+
+def run(argv: list[str]) -> dict:
+    """One in-process CLI call, as a corpus line."""
+    from iwalambda.cli import main
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return {
+        "argv": list(argv),
+        "code": code,
+        "stdout_sha256": hashlib.sha256(out.getvalue().encode()).hexdigest(),
+        "stderr": err.getvalue(),
+    }
+
+
+def load() -> list[dict]:
+    with CORPUS.open(encoding="utf-8") as f:
+        return [json.loads(line) for line in f]
+
+
+def main() -> None:
+    lines = [json.dumps(run(argv), sort_keys=True) for argv in corpus_argvs()]
+    CORPUS.parent.mkdir(exist_ok=True)
+    CORPUS.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    print(f"{len(lines)} argvs -> {CORPUS.relative_to(ROOT)}")
+
+
+if __name__ == "__main__":
+    main()
