@@ -248,10 +248,10 @@ def cmd_lambda(args) -> dict:
         exponents = {p: splitting.splitting_exponent(field.ell, p) for p in S if p != field.ell}
         if any(n_p != splitting.splitting_exponent_oracle(field.ell, p) for p, n_p in exponents.items()):
             raise AssertionError("splitting exponent oracle disagrees")
-        # the counting oracle of the real shift runs up to its level cap (S is tame here)
-        if parity == "real" and max(exponents.values(), default=0) <= defect.ORACLE_LEVEL_CAP:
-            if defect.lambda_shift_real_oracle(field, S) != expr.shift:
-                raise AssertionError("lambda-shift oracle disagrees with the closed form")
+        # the counting oracle of the real shift (S is tame here) raises
+        # ScaleError past its level cap rather than go unchecked
+        if parity == "real" and defect.lambda_shift_real_oracle(field, S) != expr.shift:
+            raise AssertionError("lambda-shift oracle disagrees with the closed form")
     payload = {"S": sorted(S), "parity": parity}
     if field.ell == field.conductor and parity == "real" and field.ell not in S:
         payload["imo_lambda"] = defect.imo_lambda(field.ell, S)

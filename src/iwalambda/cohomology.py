@@ -149,15 +149,15 @@ def stable_submodule(M: FiniteGammaModule, gens) -> tuple[FiniteGammaModule, Sub
             x = M.apply(x)
     H = subgroup_generated(M.module, closed)
     S, to_parent, from_parent = H.as_group()
-    cols = [from_parent[M.apply(to_parent(b)).coords].coords for b in S.basis()]
+    cols = [from_parent(M.apply(to_parent(b))).coords for b in S.basis()]
     return FiniteGammaModule(S, transpose(cols), M.order_n), H
 
 
 def quotient_module(M: FiniteGammaModule, H: Subgroup) -> FiniteGammaModule:
-    """M/H with the induced action; H must be sigma-stable."""
-    for h in H:
-        if M.apply(h) not in H:
-            raise ValueError("subgroup is not sigma-stable")
+    """M/H with the induced action; H must be sigma-stable, which its
+    generators decide, since sigma is a homomorphism."""
+    if any(M.apply(h) not in H for h in H.generators):
+        raise ValueError("subgroup is not sigma-stable")
     Q = quotient(M.module, H)
     cols = [Q.project(M.apply(Q.section(b))).coords for b in Q.group.basis()]
     return FiniteGammaModule(Q.group, transpose(cols), M.order_n)

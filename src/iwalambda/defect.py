@@ -177,7 +177,7 @@ def _kill_counts(field: FieldSpec, S) -> dict:
     data = [decomposition_data(field, p) for p in S]
     n0 = max((d.n_p for d in data), default=0)
     if n0 > ORACLE_LEVEL_CAP:
-        raise ScaleError("oracle scale exceeded")
+        raise ScaleError(f"oracle scale exceeded: level n0 = {n0} is past the oracle level cap {ORACLE_LEVEL_CAP}")
     q0 = field.ell**n0
     e = field.delta.exponent
     table = {}

@@ -1,8 +1,9 @@
 """Exact integer utilities shared by every other module.
 
 Everything here is arbitrary-precision integer arithmetic: valuations,
-multiplicative orders, CRT, factorization helpers, and Smith normal form
-over Z with its unimodular row transform and that transform's inverse.
+multiplicative orders, CRT, factorization helpers, the Hermite normal
+form of a lattice, and Smith normal form over Z with its unimodular row
+transform and that transform's inverse.
 No floating point is used anywhere in the package.  Record is the
 immutable value type the other layers build on.
 """
@@ -196,6 +197,30 @@ def identity_matrix(n: int) -> list[list[int]]:
 
 def transpose(rows) -> list[list[int]]:
     return [list(col) for col in zip(*rows)]
+
+
+def hermite_normal_form(rows) -> tuple[tuple[int, ...], ...]:
+    """The unique basis of the full-rank lattice of Z^k that rows span, as
+    its row Hermite normal form: upper triangular with positive pivots, each
+    entry above a pivot in [0, pivot) (Cohen, ch. 2.4).  Column by column,
+    Euclid on the rows not yet chosen leaves one nonzero there: the pivot row.
+    """
+    rest = [list(r) for r in rows]
+    basis = []
+    for j in range(len(rest[0]) if rest else 0):
+        while len(live := [r for r in rest if r[j]]) > 1:
+            p = min(live, key=lambda r: abs(r[j]))
+            for r in live:
+                if r is not p:
+                    r[:] = [a - r[j] // p[j] * b for a, b in zip(r, p)]
+        if not live:
+            raise ValueError("the rows do not span a full-rank lattice")
+        rest.remove(live[0])  # no other row equals it: that row would be live
+        basis.append(live[0] if live[0][j] > 0 else [-x for x in live[0]])
+    for i, p in enumerate(basis):
+        for r in basis[:i]:
+            r[:] = [a - r[i] // p[i] * b for a, b in zip(r, p)]
+    return tuple(map(tuple, basis))
 
 
 def _nearest_div(a: int, b: int) -> int:

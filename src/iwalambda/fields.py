@@ -34,8 +34,8 @@ class FieldSpec:
             gens = [self.units.dlog(h) for h in self.subgroup_gens]
         except ValueError as exc:
             raise FieldError(f"subgroup generator not a unit mod {conductor}") from exc
-        # Delta is reduced from H's elements, which are not kept: |H| reaches
-        # 16,664 at m = 99987, H = <2>
+        # Delta is reduced from the Hermite basis of H's lattice, whose size is
+        # the rank of (Z/m)*, whatever |H| is
         self._quotient = subgroup_generated(self.units.group, gens).quotient()
         self.delta = self._quotient.group
         self.tau_bar = self.delta_element(conductor - 1)

@@ -4,9 +4,11 @@ A group is a chain (d_1 | d_2 | ... | d_k) with d_i >= 2; the empty chain
 is the trivial group.  Elements are coordinate vectors.  The module also
 builds (Z/m)* with a two-way residue/dlog bridge, subgroups with their own
 invariant-factor presentations, and quotients with explicit projection and
-section maps.  Quotient is the one place a relation lattice is Smith
-reduced: G/H, (Z/m)* as Z^n modulo the generator orders, and the
-subgroup presentations all read their coordinates from it.
+section maps.  A subgroup H of G is the lattice spanned by its generators
+and G's relations, kept as that lattice's Hermite normal form, so its cost
+follows the rank of G and not |H|.  Quotient is the one place a relation
+lattice is Smith reduced: G/H, (Z/m)* as Z^n modulo the generator orders,
+and the subgroup presentations all read their coordinates from it.
 """
 
 from __future__ import annotations
@@ -16,7 +18,9 @@ from functools import lru_cache
 from math import gcd
 
 from .errors import FieldError, IwalambdaError, ScaleError
-from .exact import Record, _snf_with_transform, crt, diagonal_matrix, factorize, identity_matrix, transpose
+from .exact import (
+    Record, _snf_with_transform, crt, diagonal_matrix, factorize, hermite_normal_form, identity_matrix, transpose,
+)
 
 UNIT_GROUP_MODULUS_CAP = 10**5
 
@@ -126,44 +130,45 @@ class GroupElement(Record):
 
 
 class Subgroup:
-    """Subgroup with a canonical (lex-sorted) element enumeration."""
+    """The subgroup of parent that generators generate, kept as the Hermite
+    normal form hnf of the lattice their coordinates span with diag(d), so
+    equal subgroups have equal forms.  Order and membership read
+    parent/self; elements lists the subgroup only when asked."""
 
-    def __init__(self, parent: FiniteAbelianGroup, generators, elements):
+    def __init__(self, parent: FiniteAbelianGroup, generators):
+        gens = tuple(g if isinstance(g, GroupElement) else parent.element(g) for g in generators)
+        if any(g.group != parent for g in gens):
+            raise ValueError("generator does not belong to the group")
         self.parent = parent
-        self.generators = tuple(generators)
-        self.elements = tuple(elements)
-        self._members = frozenset(e.coords for e in self.elements)
+        self.generators = gens
+        self.hnf = hermite_normal_form([g.coords for g in gens] + diagonal_matrix(parent.invariant_factors))
 
     @property
     def order(self) -> int:
-        return len(self.elements)
-
-    def __len__(self) -> int:
-        return len(self.elements)
+        return self.parent.order // self.quotient().group.order
 
     def __iter__(self):
         return iter(self.elements)
 
     def __contains__(self, g: GroupElement) -> bool:
-        return g.group == self.parent and g.coords in self._members
+        return g.group == self.parent and self.quotient().project(g).is_identity
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Subgroup)
-            and self.parent == other.parent
-            and self._members == other._members
-        )
+        return isinstance(other, Subgroup) and (self.parent, self.hnf) == (other.parent, other.hnf)
 
     def __hash__(self) -> int:
-        return hash((self.parent, self._members))
+        return hash((self.parent, self.hnf))
+
+    @property
+    def elements(self) -> tuple[GroupElement, ...]:
+        """Every element, sorted by coordinates, from the presentation; never kept."""
+        T, to_parent, _ = self.as_group()
+        return tuple(sorted((to_parent(t) for t in T.elements()), key=lambda g: g.coords))
 
     def as_group(self):
-        """Invariant-factor presentation of the subgroup.
-
-        Returns (group, to_parent, from_parent): an abstract group, the
-        embedding of its basis combinations into the parent, and the inverse
-        lookup on the subgroup's elements.
-        """
+        """Invariant-factor presentation (group, to_parent, from_parent): an
+        abstract group, its embedding into the parent, and the inverse map,
+        which raises ValueError off the subgroup."""
         if not hasattr(self, "_structure"):
             self._structure = _subgroup_structure(self)
         return self._structure
@@ -176,22 +181,8 @@ class Subgroup:
 
 
 def subgroup_generated(G: FiniteAbelianGroup, gens) -> Subgroup:
-    """Smallest subgroup containing gens, enumerated by closure."""
-    gens = [g if isinstance(g, GroupElement) else G.element(g) for g in gens]
-    for g in gens:
-        if g.group != G:
-            raise ValueError("generator does not belong to the group")
-    seen = {G.identity().coords}
-    frontier = [G.identity()]
-    while frontier:
-        x = frontier.pop()
-        for g in gens:
-            y = x + g
-            if y.coords not in seen:
-                seen.add(y.coords)
-                frontier.append(y)
-    elements = [GroupElement(G, c) for c in sorted(seen)]
-    return Subgroup(G, gens, elements)
+    """Smallest subgroup containing gens (elements or coordinate vectors)."""
+    return Subgroup(G, gens)
 
 
 def trivial_subgroup(G: FiniteAbelianGroup) -> Subgroup:
@@ -200,20 +191,6 @@ def trivial_subgroup(G: FiniteAbelianGroup) -> Subgroup:
 
 def full_subgroup(G: FiniteAbelianGroup) -> Subgroup:
     return subgroup_generated(G, G.basis())
-
-
-def all_subgroups(G: FiniteAbelianGroup) -> list[Subgroup]:
-    """Every subgroup, found from generator sets up to the group rank."""
-    out = {}
-    pool = list(G.elements())
-    out_key = lambda s: s._members
-    triv = trivial_subgroup(G)
-    out[out_key(triv)] = triv
-    for size in range(1, max(G.rank, 1) + 1):
-        for gens in itertools.combinations(pool, size):
-            s = subgroup_generated(G, list(gens))
-            out.setdefault(out_key(s), s)
-    return sorted(out.values(), key=lambda s: (s.order, [e.coords for e in s.elements]))
 
 
 def _subgroup_structure(H: Subgroup):
@@ -234,19 +211,19 @@ def _subgroup_structure(H: Subgroup):
     # H = L'/L is Z^k modulo the columns of C in the basis of L', so P
     # presents it, and B carries a lift in that basis into the parent
     P = Quotient(transpose(C))
-    T = P.group
     B = [[U1inv[r][j] * d1[j] for j in range(k)] for r in range(k)]
 
     def to_parent(el: GroupElement) -> GroupElement:
         x = P.lift(el)
         return G.element(sum(b * c for b, c in zip(row, x)) for row in B)
 
-    from_parent = {}
-    for el in T.elements():
-        from_parent[to_parent(el).coords] = el
-    if len(from_parent) != H.order or set(from_parent) != H._members:
-        raise AssertionError("subgroup presentation failed to biject")
-    return T, to_parent, from_parent
+    def from_parent(g: GroupElement) -> GroupElement:
+        # g in H lies in L', whose basis B reads its coordinates diag(d1)^-1 U1 g
+        if g not in H:
+            raise ValueError("element not in the subgroup")
+        return P.image([sum(u * c for u, c in zip(row, g.coords)) // d for row, d in zip(U1, d1)])
+
+    return P.group, to_parent, from_parent
 
 
 class Quotient:
@@ -255,7 +232,7 @@ class Quotient:
     One Smith reduction gives (d, U, U^-1): row i of U reads the class of a
     vector in Z/d_i, and the columns of U^-1 at the slots with d_i >= 2 lift
     the quotient's basis back to Z^k.  For G/H the source is G and the
-    columns are H's elements and G's relations; a presentation of a group
+    columns are the Hermite basis of H's lattice; a presentation of a group
     with no source (as (Z/m)* over its generators) uses image and lift.
     """
 
@@ -286,14 +263,10 @@ class Quotient:
 
 
 def quotient(G: FiniteAbelianGroup, H: Subgroup) -> Quotient:
-    """G/H via Smith reduction of the relation lattice (H + diag d).
-
-    Uses the full element list of H, so hand-built subgroups with stale
-    generator data still quotient correctly.
-    """
+    """G/H via Smith reduction of the Hermite basis of H's lattice."""
     if H.parent != G:
         raise ValueError("subgroup of a different group")
-    return Quotient([e.coords for e in H.elements] + diagonal_matrix(G.invariant_factors), G)
+    return Quotient(H.hnf, G)
 
 
 # ---------------------------------------------------------------------------

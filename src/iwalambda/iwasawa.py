@@ -152,17 +152,15 @@ def level_order(spec: ElementaryModuleSpec, n: int, exponent_offset: int = 0) ->
     """
     if n < 0 or exponent_offset < 0:
         raise ValueError("level and exponent offset must be nonnegative")
+    _require_matrix_dim(spec, n)
     ell = spec.ell
     dim = ell**n
     cap = n + exponent_offset
     total = spec.rho * cap * dim
     for m in spec.mus:
         total += dim * min(m, cap)
-    if spec.polys:
-        if dim > MATRIX_DIM_CAP:
-            raise ScaleError(f"ell^n = {dim} exceeds the matrix dimension cap {MATRIX_DIM_CAP}")
-        for f in spec.polys:
-            total += sum(poly_level_valuations(f, ell, n, cap))
+    for f in spec.polys:
+        total += sum(poly_level_valuations(f, ell, n, cap))
     return total
 
 
@@ -194,9 +192,18 @@ class LevelOrderTable(Record):
         return sorted(self.entries)
 
 
+def _require_matrix_dim(spec: ElementaryModuleSpec, n: int) -> None:
+    """ScaleError if level n of spec builds a matrix past MATRIX_DIM_CAP."""
+    if spec.polys and spec.ell**n > MATRIX_DIM_CAP:
+        raise ScaleError(f"ell^n = {spec.ell**n} exceeds the matrix dimension cap {MATRIX_DIM_CAP}")
+
+
 def level_order_table(
     spec: ElementaryModuleSpec, n_min: int, n_max: int, exponent_offset: int = 0
 ) -> LevelOrderTable:
+    """x(n) for n_min <= n <= n_max; the deepest level's scale is checked
+    before any level is computed."""
+    _require_matrix_dim(spec, n_max)
     return LevelOrderTable(
         {n: level_order(spec, n, exponent_offset) for n in range(n_min, n_max + 1)}
     )

@@ -16,7 +16,7 @@ from iwalambda.characters import LadicChar, VirtualChar, all_abs_chars, parity_o
 from iwalambda.cohomology import FiniteGammaModule
 from iwalambda.errors import FieldError, ScaleError
 from iwalambda.exact import euler_phi, smith_normal_form
-from iwalambda.groups import FiniteAbelianGroup, Subgroup
+from iwalambda.groups import FiniteAbelianGroup, Subgroup, subgroup_generated
 from iwalambda.iwasawa import FitParameters, LevelOrderTable
 from iwalambda.splitting import decomposition_data
 
@@ -113,6 +113,39 @@ def group_order_census(G: FiniteAbelianGroup) -> dict[int, int]:
         k = g.order()
         out[k] = out.get(k, 0) + 1
     return out
+
+
+def closure(G: FiniteAbelianGroup, gens) -> frozenset[tuple[int, ...]]:
+    """Coordinates of every element of the subgroup gens generate, by
+    adding generators to the elements found until nothing new appears."""
+    gens = [G.element(g.coords if hasattr(g, "coords") else g) for g in gens]
+    seen = {G.identity().coords}
+    frontier = [G.identity()]
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            y = x + g
+            if y.coords not in seen:
+                seen.add(y.coords)
+                frontier.append(y)
+    return frozenset(seen)
+
+
+def generator_sets(G: FiniteAbelianGroup):
+    """Every set of at most rank(G) elements (at least the empty set and
+    the singletons): together they generate every subgroup of G."""
+    pool = list(G.elements())
+    for size in range(max(G.rank, 1) + 1):
+        yield from itertools.combinations(pool, size)
+
+
+def all_subgroups(G: FiniteAbelianGroup) -> list[Subgroup]:
+    """Every subgroup, told apart by closure, sorted by order and then by
+    the sorted element coordinates."""
+    found = {}
+    for gens in generator_sets(G):
+        found.setdefault(closure(G, gens), gens)
+    return [subgroup_generated(G, found[key]) for key in sorted(found, key=lambda c: (len(c), sorted(c)))]
 
 
 def induce_trivial_by_scan(delta: FiniteAbelianGroup, D: Subgroup) -> VirtualChar:

@@ -46,10 +46,9 @@ from iwalambda.defect import (
 )
 from iwalambda.errors import InconsistentDataError
 from iwalambda.fields import field_spec
-from iwalambda.groups import all_subgroups
 from iwalambda.iwasawa import ElementaryModuleSpec, fit_parameters, level_order_table
 from iwalambda.splitting import splitting_exponent, splitting_exponent_oracle
-from oracles import mirror_by_products, primes_below, random_gamma_module, tate_by_enumeration
+from oracles import all_subgroups, mirror_by_products, primes_below, random_gamma_module, tate_by_enumeration
 
 
 @contextmanager

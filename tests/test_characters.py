@@ -27,18 +27,12 @@ from iwalambda.characters import (
 from iwalambda.defect import ladic_chars_of
 from iwalambda.errors import FieldError
 from iwalambda.fields import FieldSpec, field_spec
-from iwalambda.groups import (
-    FiniteAbelianGroup,
-    Subgroup,
-    all_subgroups,
-    full_subgroup,
-    subgroup_generated,
-    trivial_subgroup,
-)
+from iwalambda.groups import FiniteAbelianGroup, full_subgroup, subgroup_generated, trivial_subgroup
 from oracles import (
     CHAINS,
     PROPERTY_FIELDS,
     all_ladic_chars_by_walk,
+    all_subgroups,
     contains_mu_ell_by_scan,
     induce_trivial_by_scan,
     mirror_by_products,
@@ -208,11 +202,12 @@ class TestInduction:
             assert ind == induce_trivial_by_scan(G, D)
             assert len(ind.support()) == G.order // D.order
 
-    def test_pullback_of_handbuilt_subgroup(self):
-        # no generators recorded: the quotient must come from the element list
+    def test_pullback_of_subgroup_from_its_elements(self):
+        # every element as a generator: the same lattice, so the same pull-back
         G = FiniteAbelianGroup((2, 4))
         ref = subgroup_generated(G, [(0, 1)])
-        D = Subgroup(G, [], ref.elements)
+        D = subgroup_generated(G, ref.elements)
+        assert D == ref
         ind = induce_trivial(G, D)
         assert ind == induce_trivial_by_scan(G, D)
         assert sorted(chi.coeffs for chi in ind.support()) == [(0, 0), (1, 0)]

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import iwalambda.cohomology
 import iwalambda.defect
 import iwalambda.errors
+import iwalambda.fields
 import iwalambda.groups
 import iwalambda.iwasawa
 from iwalambda.cli import main, parse_poly
@@ -161,22 +162,25 @@ class TestLambda:
         assert rc == 3
 
     def test_verify_deep_splitting_prime(self):
-        # 39367 stops splitting at layer n_p = 8; the place count has no depth cap
+        # 39367 stops splitting at layer n_p = 8, past the real-shift oracle's
+        # level cap of 4: --verify cannot check the shift, so it claims nothing
         rc, out, err = run_inprocess(["lambda", "--ell", "3", "--conductor", "3", "--primes", "39367", "--verify"])
-        assert rc == 0 and err == ""
-        assert json.loads(out)["oracle_checked"] is True
+        assert (rc, out) == (4, "")
+        assert err == "error: oracle scale exceeded: level n0 = 8 is past the oracle level cap 4\n"
+        # the closed form itself has no depth cap
+        rc, out, err = run_inprocess(["lambda", "--ell", "3", "--conductor", "3", "--primes", "39367"])
+        assert (rc, err) == (0, "") and json.loads(out)["oracle_checked"] is False
 
-    def test_verify_runs_the_real_shift_oracle_up_to_its_cap(self, monkeypatch):
+    def test_verify_runs_the_real_shift_oracle(self, monkeypatch):
         calls = []  # the stub records S and returns None, which no shift equals
         monkeypatch.setattr(iwalambda.defect, "lambda_shift_real_oracle", lambda F, S: calls.append(S))
         field = ["lambda", "--ell", "3", "--conductor", "15"]
         rc, out, err = run_inprocess([*field, "--primes", "7,13", "--verify"])
         assert (rc, out, err) == (1, "", "internal check failed: lambda-shift oracle disagrees with the closed form\n")
         assert calls == [(7, 13)]
-        # imaginary and wild shifts have no counting oracle; 39367 (n_p = 8) is past the cap of 4
+        # imaginary and wild shifts have no counting oracle
         for argv in (["--primes", "7,13", "--parity", "imaginary", "--verify"],
                      ["--primes", "3,7", "--parity", "wild", "--verify"],
-                     ["--primes", "7,39367", "--verify"],
                      ["--primes", "7,13"]):
             rc, out, err = run_inprocess([*field, *argv])
             assert rc == 0 and err == "", argv
@@ -724,6 +728,22 @@ class TestFieldInputs:
     def test_conductor_not_divisible(self):
         rc, _, err = run_cli("chars", "--ell", "3", "--conductor", "10")
         assert rc == 2 and "divisible" in err
+
+    def test_large_subgroup_is_never_enumerated(self, monkeypatch):
+        # |H| = 8332; a fresh field, so no cache holds its D_p or characters
+        def refuse(_):
+            raise AssertionError("a subgroup was enumerated")
+
+        monkeypatch.setattr(iwalambda.groups.Subgroup, "elements", property(refuse))
+        field = iwalambda.fields.FieldSpec(3, 99987, (4,))
+        monkeypatch.setattr(iwalambda.fields, "field_spec", lambda *args: field)
+        args = ["--ell", "3", "--conductor", "99987", "--subgroup", "4"]
+        for argv in (["chars", *args],
+                     ["defect", *args, "--primes", "7,13", "--verify"],
+                     ["reflect", *args, "--S=3,7", "--T=13", "--verify"]):
+            rc, out, err = run_inprocess(argv)
+            assert (rc, err) == (0, ""), argv
+            assert json.loads(out)["field"]["delta"] == [2, 4]
 
 
 def readme_cli_lines():

@@ -13,6 +13,7 @@ from iwalambda.exact import (
     crt,
     euler_phi,
     factorize,
+    hermite_normal_form,
     is_prime,
     mult_order,
     smith_normal_form,
@@ -141,6 +142,46 @@ class TestSmith:
         for di, Di in zip(d, determinantal_divisors(M)):
             prod *= di
             assert prod == Di
+
+
+class TestHermite:
+    def test_examples(self):
+        assert hermite_normal_form([[1, 2], [2, 0], [0, 4]]) == ((1, 2), (0, 4))
+        assert hermite_normal_form([[0, -3], [2, 5]]) == ((2, 2), (0, 3))
+        assert hermite_normal_form([]) == ()
+
+    def test_rank_deficient_rejected(self):
+        with pytest.raises(ValueError, match="full-rank"):
+            hermite_normal_form([[1, 2], [2, 4], [3, 6]])
+
+    @given(st.integers(min_value=1, max_value=4).flatmap(
+        lambda c: st.lists(
+            st.lists(st.integers(min_value=-9, max_value=9), min_size=c, max_size=c),
+            min_size=c, max_size=6,
+        )
+    ))
+    def test_unique_basis_of_the_row_lattice(self, M):
+        c = len(M[0])
+        index = determinantal_divisors(M)[-1]  # [Z^c : lattice], 0 below full rank
+        if index == 0:
+            with pytest.raises(ValueError):
+                hermite_normal_form(M)
+            return
+        H = hermite_normal_form(M)
+        pivots = 1
+        for i, row in enumerate(H):
+            assert all(x == 0 for x in row[:i]) and row[i] > 0
+            assert all(0 <= H[t][i] < row[i] for t in range(i))
+            pivots *= row[i]
+        # every row of M reduces to zero by the triangular basis, so the
+        # lattice of H contains that of M, and the two have one index
+        for row in M:
+            x = list(row)
+            for i in range(c):
+                q, r = divmod(x[i], H[i][i])
+                assert r == 0
+                x = [a - q * b for a, b in zip(x, H[i])]
+        assert pivots == index
 
 
 def test_is_prime_small():

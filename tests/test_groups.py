@@ -11,15 +11,8 @@ from hypothesis import strategies as st
 from iwalambda.characters import AbsChar, all_abs_chars
 from iwalambda.errors import FieldError, ScaleError
 from iwalambda.exact import euler_phi, factorize
-from iwalambda.groups import (
-    FiniteAbelianGroup,
-    all_subgroups,
-    quotient,
-    subgroup_generated,
-    trivial_subgroup,
-    unit_group,
-)
-from oracles import CHAINS, group_order_census, unit_order_census
+from iwalambda.groups import FiniteAbelianGroup, quotient, subgroup_generated, trivial_subgroup, unit_group
+from oracles import CHAINS, all_subgroups, closure, generator_sets, group_order_census, unit_order_census
 
 
 class TestUnitGroup:
@@ -112,7 +105,11 @@ class TestSubgroups:
             images = {to_parent(t).coords for t in T.elements()}
             assert images == {e.coords for e in H.elements}
             for t in T.elements():
-                assert from_parent[to_parent(t).coords] == t
+                assert from_parent(to_parent(t)) == t
+            for g in G.elements():
+                if g not in H:
+                    with pytest.raises(ValueError, match="not in the subgroup"):
+                        from_parent(g)
 
     def test_all_subgroups_of_2_4(self):
         # Z/2 x Z/4 has 8 subgroups
@@ -151,8 +148,8 @@ class TestQuotient:
                     assert Q.project(Q.section(q)) == q
 
     def test_large_subgroup_under_1gib(self):
-        # |H| = 16664: the reduction sees a 2 x 16666 matrix and must stay
-        # linear in its width
+        # |H| = 16664: the subgroup and its quotient are reduced from a
+        # lattice of rank 2, and only the last line lists H's elements
         child = textwrap.dedent("""
             import resource
             resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
@@ -193,14 +190,13 @@ def test_element_order():
     assert G.identity().order() == 1
 
 
-def test_quotient_by_handbuilt_subgroup():
-    # quotient must key off the element list, not stored generator data
-    from iwalambda.groups import Subgroup
-
+def test_quotient_of_subgroup_from_its_elements():
+    # every element as a generator spans the same lattice: the same subgroup
     G = FiniteAbelianGroup((2, 4))
     ref = subgroup_generated(G, [(0, 1)])
-    frankenstein = Subgroup(G, [], ref.elements)  # no generators recorded
-    Q = quotient(G, frankenstein)
+    from_elements = subgroup_generated(G, ref.elements)
+    assert from_elements == ref and hash(from_elements) == hash(ref)
+    Q = quotient(G, from_elements)
     assert Q.group.order == 2
     kernel = {g.coords for g in G.elements() if Q.project(g).is_identity}
     assert kernel == {e.coords for e in ref.elements}
@@ -231,7 +227,7 @@ class TestPresentation:
             assert T.order == H.order
             assert {to_parent(t).coords for t in T.elements()} == {h.coords for h in H}
             for t in T.elements():
-                assert from_parent[to_parent(t).coords] == t
+                assert from_parent(to_parent(t)) == t
             Q = quotient(G, H)
             assert Q.group.order * H.order == G.order
             for q in Q.group.elements():
@@ -250,3 +246,46 @@ class TestPresentation:
             # 1 in Z/e on the first basis element, whose order d_1 is smaller
             with pytest.raises(AssertionError, match="too large an order"):
                 AbsChar.from_values(G, [1] + [0] * (G.rank - 1))
+
+
+class TestLattice:
+    """The lattice Subgroup against the closure oracle, on every generator
+    set of up to rank(G) elements of every group of CHAINS."""
+
+    @settings(derandomize=True, max_examples=200)
+    @given(st.sampled_from(CHAINS))
+    def test_agrees_with_closure(self, chain):
+        G = FiniteAbelianGroup(chain)
+        elements = list(G.elements())
+        by_closure = {}
+        for gens in generator_sets(G):
+            H = subgroup_generated(G, gens)
+            members = closure(G, gens)
+            assert H.order == len(members)
+            assert {g.coords for g in elements if g in H} == members
+            by_closure.setdefault(members, []).append(H)
+        for members, group in by_closure.items():
+            assert all(H == group[0] and hash(H) == hash(group[0]) for H in group)
+        firsts = [group[0] for group in by_closure.values()]
+        assert len(set(firsts)) == len(firsts)
+
+    @settings(derandomize=True, max_examples=100)
+    @given(st.sampled_from([c for c in CHAINS if c]), st.randoms(use_true_random=False))
+    def test_hnf_ignores_order_and_redundant_generators(self, chain, rng):
+        G = FiniteAbelianGroup(chain)
+        gens = [G.element([rng.randrange(d) for d in chain]) for _ in range(rng.randint(0, 3))]
+        H = subgroup_generated(G, gens)
+        shuffled = gens[:]
+        rng.shuffle(shuffled)
+        redundant = shuffled + [a + b for a in gens for b in gens] + [G.identity(), -gens[0] if gens else G.identity()]
+        for other in (shuffled, redundant):
+            K = subgroup_generated(G, other)
+            assert K.hnf == H.hnf and K == H and hash(K) == hash(H)
+        for i, row in enumerate(H.hnf):
+            assert all(x == 0 for x in row[:i]) and row[i] > 0
+            assert all(0 <= H.hnf[t][i] < row[i] for t in range(i))
+
+    def test_generators_of_another_group_rejected(self):
+        G = FiniteAbelianGroup((2, 4))
+        with pytest.raises(ValueError, match="does not belong"):
+            subgroup_generated(G, [FiniteAbelianGroup((4,)).element((1,))])
