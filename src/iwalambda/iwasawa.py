@@ -141,6 +141,12 @@ def poly_level_valuation_direct(f: tuple[int, ...], ell: int, n: int, cap: int) 
     return sum(valuation(d, ell) for d in smith_normal_form(rows) if d != 0)
 
 
+def _require_matrix_dim(spec: ElementaryModuleSpec, n: int) -> None:
+    """ScaleError if level n of spec builds a matrix past MATRIX_DIM_CAP."""
+    if spec.polys and spec.ell**n > MATRIX_DIM_CAP:
+        raise ScaleError(f"ell^n = {spec.ell**n} exceeds the matrix dimension cap {MATRIX_DIM_CAP}")
+
+
 def level_order(spec: ElementaryModuleSpec, n: int, exponent_offset: int = 0) -> int:
     """x(n): ell-valuation of the exponent-ell^(n+k) quotient of the level-n
     coinvariants (k = exponent_offset, default 0).
@@ -190,12 +196,6 @@ class LevelOrderTable(Record):
 
     def levels(self) -> list[int]:
         return sorted(self.entries)
-
-
-def _require_matrix_dim(spec: ElementaryModuleSpec, n: int) -> None:
-    """ScaleError if level n of spec builds a matrix past MATRIX_DIM_CAP."""
-    if spec.polys and spec.ell**n > MATRIX_DIM_CAP:
-        raise ScaleError(f"ell^n = {spec.ell**n} exceeds the matrix dimension cap {MATRIX_DIM_CAP}")
 
 
 def level_order_table(

@@ -149,6 +149,16 @@ class TestLevelOrder:
         # closed-form summands are not matrix-bound
         assert level_order(ElementaryModuleSpec(3, rho=1, mus=[2]), 6) > 0
 
+    def test_table_checks_its_deepest_level_first(self, monkeypatch):
+        import iwalambda.iwasawa
+
+        built = []
+        monkeypatch.setattr(iwalambda.iwasawa, "poly_level_valuations", lambda *level: built.append(level) or [0])
+        with pytest.raises(ScaleError, match=r"^ell\^n = 19683 exceeds the matrix dimension cap 250$"):
+            level_order_table(ElementaryModuleSpec(3, polys=[(3, 1)]), 0, 9)
+        assert built == []
+        assert level_order_table(ElementaryModuleSpec(3, rho=1), 0, 9).entries[9] == 9 * 3**9
+
     def test_nondecreasing(self):
         rng = random.Random(20)
         for _ in range(10):
