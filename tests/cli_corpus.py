@@ -52,6 +52,19 @@ EXTRA_ARGVS = [
     "cohomology --factors 2,4 --sigma=1,0;1,1 --order 2",
     "cohomology --factors 4 --sigma=2 --order 2",
     "cohomology --factors 4 --sigma=3 --order 3",
+    # README's CLI examples; K = Q(zeta_3) reaches the real lambda shift's
+    # rational-field value
+    "chars --ell 3 --conductor 15",
+    "defect --ell 3 --conductor 3 --primes 7,13 --verify",
+    "lambda --ell 3 --conductor 3 --primes 7,13 --parity real",
+    "reflect --ell 3 --conductor 3 --S 3 --T 7,13",
+    "simulate --ell 3 --poly T^2+3T --mu 1 --n 5 --n-min 1 --verify",
+    "ambig --class-val 1 --ram 1,1 --deg 1 --unit-index 1",
+    "cohomology --factors 3,9 --sigma=2,0;0,4 --order 6",
+    # the table renderer, and a usage error from the argument parser
+    "chars --ell 3 --conductor 15 --format table",
+    "reflect --ell 3 --conductor 15 --S=3,7 --T=13 --format table",
+    "lambda --ell 3 --conductor 15 --primes 7 --parity bogus",
 ]
 
 
