@@ -2,8 +2,8 @@
 
 Everything here is arbitrary-precision integer arithmetic: valuations,
 multiplicative orders, CRT, factorization helpers, the Hermite normal
-form of a lattice, and Smith normal form over Z with its unimodular row
-transform and that transform's inverse.
+form of a lattice with back-substitution against it, and Smith normal form
+over Z with its unimodular row transform and that transform's inverse.
 No floating point is used anywhere in the package.  Record is the
 immutable value type the other layers build on.
 """
@@ -223,9 +223,17 @@ def hermite_normal_form(rows) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, basis))
 
 
-def _nearest_div(a: int, b: int) -> int:
-    """Quotient with remainder in [-b/2, b/2) for b > 0; keeps entries small."""
-    return (a + (b >> 1)) // b
+def _hermite_coordinates(basis, x) -> list[int] | None:
+    """The y with y*basis = x for a Hermite basis, by back-substitution that
+    divides exactly at each pivot; None when x is off the lattice."""
+    x, y = list(x), []
+    for i, b in enumerate(basis):
+        q, rem = divmod(x[i], b[i])
+        if rem:
+            return None
+        x = [u - q * v for u, v in zip(x, b)]
+        y.append(q)
+    return y
 
 
 def _snf_with_transform(rows: list[list[int]]) -> tuple[list[int], list[list[int]], list[list[int]]]:
@@ -235,105 +243,64 @@ def _snf_with_transform(rows: list[list[int]]) -> tuple[list[int], list[list[int
     built, so row i of U*M is divisible by d_i, and zero when d_i = 0 or
     i >= len(d).  d has length min(r, c), is nonnegative, and satisfies
     d_i | d_{i+1} (zeros, meaning free cokernel factors, come last).
-    U^-1 follows U through the inverse of each row operation, at O(r) per
-    operation.  Any pivot strategy is fine by contract; this one
-    re-selects the least-|value| entry of the minor each round and reduces
-    with nearest-integer division, which keeps coefficient growth tame at
-    desk scale.
+    Row operations act on the augmented rows [M | I], whose right block ends
+    as U, and U^-1 follows through each one's inverse column operation.  Any
+    pivot strategy is fine by contract; this one re-selects the least-|value|
+    entry of the minor each round and reduces with nearest-integer division,
+    which keeps coefficient growth tame at desk scale.
     """
-    a = [list(r) for r in rows]
-    r = len(a)
-    c = len(a[0]) if a else 0
-    U = identity_matrix(r)
+    r = len(rows)
+    c = len(rows[0]) if rows else 0
+    a = [list(row) + [int(i == j) for j in range(r)] for i, row in enumerate(rows)]
     Uinv = identity_matrix(r)
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        U[i], U[j] = U[j], U[i]
-        for row in Uinv:
-            row[i], row[j] = row[j], row[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
 
     def addmul_row(dst, src, q):
         # row_dst -= q * row_src; its inverse is col_src += q * col_dst
-        ad, asrc = a[dst], a[src]
-        for k in range(c):
-            ad[k] -= q * asrc[k]
-        ud, usrc = U[dst], U[src]
-        for k in range(r):
-            ud[k] -= q * usrc[k]
+        a[dst] = [x - q * y for x, y in zip(a[dst], a[src])]
         for row in Uinv:
             row[src] += q * row[dst]
 
-    def addmul_col(dst, src, q):
-        for row in a:
-            row[dst] -= q * row[src]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        U[i] = [-x for x in U[i]]
-        for row in Uinv:
-            row[i] = -row[i]
-
     t = 0
-    size = min(r, c)
-    while t < size:
-        while True:
-            # re-select the least-|value| nonzero pivot in the minor; any
-            # nonzero division remainder strictly shrinks this minimum, so
-            # the round count is logarithmic in the smallest entry
-            best = None
-            for i in range(t, r):
-                for j in range(t, c):
-                    x = a[i][j]
-                    if x != 0 and (best is None or abs(x) < abs(a[best[0]][best[1]])):
-                        best = (i, j)
-            if best is None:
-                break
-            if best != (t, t):
-                if best[0] != t:
-                    swap_rows(t, best[0])
-                if best[1] != t:
-                    swap_cols(t, best[1])
-            if a[t][t] < 0:
-                negate_row(t)
-            p = a[t][t]
-            dirty = False
-            for i in range(r):
-                if i != t and a[i][t] != 0:
-                    addmul_row(i, t, _nearest_div(a[i][t], p))
-                    if a[i][t] != 0:
-                        dirty = True
-            if dirty:
-                continue
-            for j in range(c):
-                if j != t and a[t][j] != 0:
-                    addmul_col(j, t, _nearest_div(a[t][j], p))
-                    if a[t][j] != 0:
-                        dirty = True
-            if dirty:
-                continue
-            # pivot must divide the whole remaining minor for the chain
-            stained = None
-            for i in range(t + 1, r):
-                for j in range(t + 1, c):
-                    if a[i][j] % p != 0:
-                        stained = i
-                        break
-                if stained is not None:
-                    break
-            if stained is None:
-                break
-            addmul_row(t, stained, -1)  # pull the offending row up, re-reduce
-        if a[t][t] == 0:
+    while t < min(r, c):
+        # re-select the least-|value| nonzero pivot in the minor, first in
+        # row-major order; any nonzero division remainder strictly shrinks
+        # this minimum, so the round count is logarithmic in the smallest entry
+        best, least = None, 0
+        for i in range(t, r):
+            row = a[i]
+            for j in range(t, c):
+                if row[j] and (best is None or abs(row[j]) < least):
+                    best, least = (i, j), abs(row[j])
+        if best is None:
             break  # minor is zero: trailing divisors stay 0
-        t += 1
+        # move the pivot to (t, t), negating its row if the pivot is negative
+        i, j = best
+        s = 1 if a[i][j] > 0 else -1
+        a[i], a[t] = a[t], [s * x for x in a[i]]
+        for row in Uinv:
+            row[i], row[t] = row[t], s * row[i]
+        for row in a:
+            row[t], row[j] = row[j], row[t]
+        p, h = a[t][t], a[t][t] >> 1
+        for i in range(r):
+            if i != t and a[i][t]:
+                addmul_row(i, t, (a[i][t] + h) // p)  # remainder in [-p/2, p/2)
+        if any(a[i][t] for i in range(r) if i != t):
+            continue
+        # column t is now zero off row t, so the column operations that clear
+        # row t change only row t: each entry becomes its remainder
+        a[t][t + 1:c] = [(x + h) % p - h for x in a[t][t + 1:c]]
+        if any(a[t][t + 1:c]):
+            continue
+        # pivot must divide the whole remaining minor for the chain
+        for i in range(t + 1, r):
+            if any(x % p for x in a[i][t + 1:c]):
+                addmul_row(t, i, -1)  # pull the offending row up, re-reduce
+                break
+        else:
+            t += 1
 
-    d = [a[i][i] for i in range(size)]
-    return d, U, Uinv
+    return [a[i][i] for i in range(min(r, c))], [row[c:] for row in a], Uinv
 
 
 def smith_normal_form(m: list[list[int]]) -> tuple[int, ...]:
@@ -343,10 +310,7 @@ def smith_normal_form(m: list[list[int]]) -> tuple[int, ...]:
     factors.  The cokernel of M is the direct sum of Z/d_i plus one Z per
     row beyond the rank.
     """
-    rows = [list(r) for r in m]
-    if not rows or not rows[0]:
-        return ()
-    d, _, _ = _snf_with_transform(rows)
+    d, _, _ = _snf_with_transform(m)
     for i in range(len(d) - 1):
         if d[i + 1] != 0 and (d[i] == 0 or d[i + 1] % d[i] != 0):
             raise AssertionError("divisor chain violated (reduction bug)")

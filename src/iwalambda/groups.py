@@ -5,21 +5,24 @@ is the trivial group.  Elements are coordinate vectors.  The module also
 builds (Z/m)* with a two-way residue/dlog bridge, subgroups with their own
 invariant-factor presentations, and quotients with explicit projection and
 section maps.  A subgroup H of G is the lattice spanned by its generators
-and G's relations, kept as that lattice's Hermite normal form, so its cost
-follows the rank of G and not |H|.  Quotient is the one place a relation
-lattice is Smith reduced: G/H, (Z/m)* as Z^n modulo the generator orders,
-and the subgroup presentations all read their coordinates from it.
+and G's relations, kept as that lattice's Hermite normal form B, so its cost
+follows the rank of G and not |H|: its order is |G| over the product of B's
+pivots, and g is in H when back-substitution against B divides exactly.
+Quotient is the one place a relation lattice is Smith reduced and the one
+reader of the Smith data: G/H, (Z/m)* as Z^n modulo the generator orders,
+and a subgroup's presentation (G's relations written in the basis B).
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from math import gcd
+from math import gcd, prod
 
 from .errors import FieldError, IwalambdaError, ScaleError
 from .exact import (
-    Record, _snf_with_transform, crt, diagonal_matrix, factorize, hermite_normal_form, identity_matrix, transpose,
+    Record, _hermite_coordinates, _snf_with_transform, crt, diagonal_matrix, factorize, hermite_normal_form,
+    identity_matrix, transpose,
 )
 
 UNIT_GROUP_MODULUS_CAP = 10**5
@@ -132,8 +135,9 @@ class GroupElement(Record):
 class Subgroup:
     """The subgroup of parent that generators generate, kept as the Hermite
     normal form hnf of the lattice their coordinates span with diag(d), so
-    equal subgroups have equal forms.  Order and membership read
-    parent/self; elements lists the subgroup only when asked."""
+    equal subgroups have equal forms.  Order, membership and as_group read
+    hnf alone and build no quotient; elements lists the subgroup only when
+    asked."""
 
     def __init__(self, parent: FiniteAbelianGroup, generators):
         gens = tuple(g if isinstance(g, GroupElement) else parent.element(g) for g in generators)
@@ -145,13 +149,13 @@ class Subgroup:
 
     @property
     def order(self) -> int:
-        return self.parent.order // self.quotient().group.order
+        return self.parent.order // prod(b[i] for i, b in enumerate(self.hnf))
 
     def __iter__(self):
         return iter(self.elements)
 
     def __contains__(self, g: GroupElement) -> bool:
-        return g.group == self.parent and self.quotient().project(g).is_identity
+        return g.group == self.parent and _hermite_coordinates(self.hnf, g.coords) is not None
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Subgroup) and (self.parent, self.hnf) == (other.parent, other.hnf)
@@ -194,34 +198,20 @@ def full_subgroup(G: FiniteAbelianGroup) -> Subgroup:
 
 
 def _subgroup_structure(H: Subgroup):
-    G = H.parent
-    k = G.rank
-    # H.quotient() has reduced the lattice L' spanned by H and diag(d):
-    # U1 * L' = diag(d1) * Z^k with (d1, U1, U1^-1) its Smith data
-    Q = H.quotient()
-    d1, U1, U1inv = Q._d, Q._U, Q._Uinv
-    # basis of L': columns b_i = d1_i * U1^{-1} e_i, so B = U1^{-1} diag(d1).
-    # L = diag(d) expressed in the basis of L': C = B^{-1} D = diag(d1)^{-1} U1 D,
-    # an exact division because L' contains the relation lattice L
-    C = [[U1[i][j] * G.invariant_factors[j] for j in range(k)] for i in range(k)]
-    for i in range(k):
-        if any(x % d1[i] for x in C[i]):
-            raise AssertionError("subgroup lattice does not contain the relations")
-        C[i] = [x // d1[i] for x in C[i]]
-    # H = L'/L is Z^k modulo the columns of C in the basis of L', so P
-    # presents it, and B carries a lift in that basis into the parent
-    P = Quotient(transpose(C))
-    B = [[U1inv[r][j] * d1[j] for j in range(k)] for r in range(k)]
+    G, B = H.parent, H.hnf
+    # H = L/diag(d)Z^k for the lattice L with basis B: in B's coordinates it
+    # is Z^k modulo the relations d_i e_i, each written by back-substitution
+    P = Quotient([_hermite_coordinates(B, row) for row in diagonal_matrix(G.invariant_factors)])
 
     def to_parent(el: GroupElement) -> GroupElement:
-        x = P.lift(el)
-        return G.element(sum(b * c for b, c in zip(row, x)) for row in B)
+        y = P.lift(el)
+        return G.element(sum(c * x for c, x in zip(y, col)) for col in zip(*B))
 
     def from_parent(g: GroupElement) -> GroupElement:
-        # g in H lies in L', whose basis B reads its coordinates diag(d1)^-1 U1 g
-        if g not in H:
+        y = _hermite_coordinates(B, g.coords) if g.group == G else None
+        if y is None:
             raise ValueError("element not in the subgroup")
-        return P.image([sum(u * c for u, c in zip(row, g.coords)) // d for row, d in zip(U1, d1)])
+        return P.image(y)
 
     return P.group, to_parent, from_parent
 
@@ -233,7 +223,8 @@ class Quotient:
     vector in Z/d_i, and the columns of U^-1 at the slots with d_i >= 2 lift
     the quotient's basis back to Z^k.  For G/H the source is G and the
     columns are the Hermite basis of H's lattice; a presentation of a group
-    with no source (as (Z/m)* over its generators) uses image and lift.
+    with no source ((Z/m)* over its generators, or a subgroup in its Hermite
+    basis) uses image and lift.
     """
 
     def __init__(self, columns, source: FiniteAbelianGroup | None = None):

@@ -126,22 +126,46 @@ class TestSmith:
         )
     ))
     def test_row_transform_contract(self, M):
-        r, c = len(M), len(M[0])
-        d, U, Uinv = _snf_with_transform([row[:] for row in M])
-        for i in range(r):
-            for j in range(r):
-                assert sum(U[i][k] * Uinv[k][j] for k in range(r)) == (1 if i == j else 0)
-        UM = [[sum(U[i][k] * M[k][j] for k in range(r)) for j in range(c)] for i in range(r)]
-        for i in range(r):
-            di = d[i] if i < len(d) else 0
-            if di == 0:
-                assert UM[i] == [0] * c
-            else:
-                assert all(x % di == 0 for x in UM[i])
+        d = check_row_transform(M, len(M[0]))
         prod = 1
         for di, Di in zip(d, determinantal_divisors(M)):
             prod *= di
             assert prod == Di
+
+    @pytest.mark.parametrize("M, c, want", [
+        ([], 0, []),  # no rows
+        ([[], [], []], 0, []),  # rows of width 0
+        ([[0, 0, 0], [0, 0, 0]], 3, [0, 0]),
+        ([[0, 0], [0, 0], [0, 0]], 2, [0, 0]),
+        ([[1, 2, 3], [2, 4, 6]], 3, [1, 0]),  # rank 1, wide
+        ([[2, 4], [4, 8], [6, 12]], 2, [2, 0]),  # rank 1, tall
+        ([[2, 4, 6, 8], [1, 3, 5, 7], [3, 7, 11, 15]], 4, [1, 2, 0]),  # row 3 = row 1 + row 2
+    ])
+    def test_row_transform_edges(self, M, c, want):
+        assert check_row_transform(M, c) == want
+
+
+def check_row_transform(M, c):
+    """Check the shapes of (d, U, U^-1) for the r x c matrix M, that U*U^-1
+    = I and that row i of U*M is divisible by d_i (zero past len(d) or where
+    d_i = 0); return d.  M itself must come back unchanged."""
+    r = len(M)
+    before = [row[:] for row in M]
+    d, U, Uinv = _snf_with_transform(M)
+    assert M == before
+    assert len(d) == min(r, c)
+    assert [len(row) for row in U] == [len(row) for row in Uinv] == [r] * r
+    for i in range(r):
+        for j in range(r):
+            assert sum(U[i][k] * Uinv[k][j] for k in range(r)) == (1 if i == j else 0)
+    UM = [[sum(U[i][k] * M[k][j] for k in range(r)) for j in range(c)] for i in range(r)]
+    for i in range(r):
+        di = d[i] if i < len(d) else 0
+        if di == 0:
+            assert UM[i] == [0] * c
+        else:
+            assert all(x % di == 0 for x in UM[i])
+    return d
 
 
 class TestHermite:

@@ -10,8 +10,11 @@ from hypothesis import strategies as st
 
 from iwalambda.characters import AbsChar, all_abs_chars
 from iwalambda.errors import FieldError, ScaleError
-from iwalambda.exact import euler_phi, factorize
-from iwalambda.groups import FiniteAbelianGroup, quotient, subgroup_generated, trivial_subgroup, unit_group
+from iwalambda import groups
+from iwalambda.exact import _hermite_coordinates, euler_phi, factorize, hermite_normal_form
+from iwalambda.groups import (
+    FiniteAbelianGroup, Subgroup, quotient, subgroup_generated, trivial_subgroup, unit_group,
+)
 from oracles import CHAINS, all_subgroups, closure, generator_sets, group_order_census, unit_order_census
 
 
@@ -284,6 +287,38 @@ class TestLattice:
         for i, row in enumerate(H.hnf):
             assert all(x == 0 for x in row[:i]) and row[i] > 0
             assert all(0 <= H.hnf[t][i] < row[i] for t in range(i))
+
+    @pytest.mark.parametrize("chain", CHAINS)
+    def test_order_membership_and_presentation_build_no_quotient(self, chain, monkeypatch):
+        G = FiniteAbelianGroup(chain)
+        elements = list(G.elements())
+        built = [(subgroup_generated(G, gens), closure(G, gens)) for gens in generator_sets(G)]
+
+        def no_quotient(*args):
+            raise AssertionError("a subgroup built a quotient")
+
+        monkeypatch.setattr(Subgroup, "quotient", no_quotient)
+        monkeypatch.setattr(groups, "quotient", no_quotient)
+        for H, members in built:
+            assert H.order == len(members)
+            assert {g.coords for g in elements if g in H} == members
+            T, to_parent, from_parent = H.as_group()
+            assert T.order == len(members)
+            assert {to_parent(t).coords for t in T.elements()} == members
+            for g in elements:
+                if g.coords in members:
+                    assert to_parent(from_parent(g)) == g
+                else:
+                    with pytest.raises(ValueError, match="not in the subgroup"):
+                        from_parent(g)
+
+    def test_back_substitution_off_the_lattice(self):
+        B = hermite_normal_form([[2, 1], [0, 3], [4, 8]])
+        assert B == ((2, 1), (0, 3))
+        assert _hermite_coordinates(B, (4, 5)) == [2, 1]
+        assert _hermite_coordinates(B, (-2, 2)) == [-1, 1]
+        assert _hermite_coordinates(B, (1, 0)) is None  # the first pivot does not divide
+        assert _hermite_coordinates(B, (2, 2)) is None  # (0, 1) is left for the second
 
     def test_generators_of_another_group_rejected(self):
         G = FiniteAbelianGroup((2, 4))
