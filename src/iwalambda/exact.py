@@ -251,7 +251,7 @@ def _snf_with_transform(rows: list[list[int]]) -> tuple[list[int], list[list[int
     """
     r = len(rows)
     c = len(rows[0]) if rows else 0
-    a = [list(row) + [int(i == j) for j in range(r)] for i, row in enumerate(rows)]
+    a = [list(row) + e for row, e in zip(rows, identity_matrix(r))]
     Uinv = identity_matrix(r)
 
     def addmul_row(dst, src, q):

@@ -201,7 +201,10 @@ def _subgroup_structure(H: Subgroup):
     G, B = H.parent, H.hnf
     # H = L/diag(d)Z^k for the lattice L with basis B: in B's coordinates it
     # is Z^k modulo the relations d_i e_i, each written by back-substitution
-    P = Quotient([_hermite_coordinates(B, row) for row in diagonal_matrix(G.invariant_factors)])
+    C = [_hermite_coordinates(B, row) for row in diagonal_matrix(G.invariant_factors)]
+    if None in C:
+        raise AssertionError("subgroup lattice does not contain the relations")
+    P = Quotient(C)
 
     def to_parent(el: GroupElement) -> GroupElement:
         y = P.lift(el)
