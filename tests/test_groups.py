@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from iwalambda import groups
 from iwalambda.characters import AbsChar, all_abs_chars
 from iwalambda.errors import FieldError, ScaleError
-from iwalambda import groups
 from iwalambda.exact import _hermite_coordinates, euler_phi, factorize, hermite_normal_form
 from iwalambda.groups import (
     FiniteAbelianGroup, Subgroup, quotient, subgroup_generated, trivial_subgroup, unit_group,
@@ -305,6 +305,7 @@ class TestLattice:
             T, to_parent, from_parent = H.as_group()
             assert T.order == len(members)
             assert {to_parent(t).coords for t in T.elements()} == members
+            assert all(from_parent(to_parent(t)) == t for t in T.elements())
             for g in elements:
                 if g.coords in members:
                     assert to_parent(from_parent(g)) == g
