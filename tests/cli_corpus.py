@@ -6,9 +6,11 @@ Run from the repository root to regenerate tests/data/cli_corpus.jsonl:
 
 The argvs are the distinct cli_cold argvs of benchmark seeds 1-3, read
 from perfbench/workloads.py (which imports nothing from iwalambda), then
-EXTRA_ARGVS.  Every argv runs in one process through cli.main, as
-tests/test_cli_corpus.py replays them.  Regenerating the file is a
-reviewed act: each line whose digest or stderr moves needs a reason.
+EXTRA_ARGVS.  A "{data}" token in an argv stands for tests/data, so the
+config files there are found from any working directory.  Every argv
+runs in one process through cli.main, as tests/test_cli_corpus.py
+replays them.  Regenerating the file is a reviewed act: each line whose
+digest or stderr moves needs a reason.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ import json
 import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-CORPUS = ROOT / "tests" / "data" / "cli_corpus.jsonl"
+DATA = ROOT / "tests" / "data"
+CORPUS = DATA / "cli_corpus.jsonl"
 SEEDS = (1, 2, 3)
 
 EXTRA_ARGVS = [
@@ -65,6 +68,22 @@ EXTRA_ARGVS = [
     "chars --ell 3 --conductor 15 --format table",
     "reflect --ell 3 --conductor 15 --S=3,7 --T=13 --format table",
     "lambda --ell 3 --conductor 15 --primes 7 --parity bogus",
+    # config files: a flag the argv spells wins over the file's key, a
+    # repeatable flag included; a key the subcommand lacks is a usage error
+    "defect --config {data}/defect.cfg",
+    "defect --config {data}/defect.cfg --primes 2",
+    "simulate --config {data}/simulate.cfg",
+    "simulate --config {data}/simulate.cfg --poly T+3",
+    "chars --config {data}/defect.cfg",
+    "chars --config {data}/bad.cfg",
+    # which error wins: the subgroup list, then the field, then the handler's lists
+    "defect --ell 3 --conductor 14 --primes 7,x",
+    "chars --ell 9 --conductor 15 --subgroup x",
+    "lambda --ell 3 --conductor 21 --primes 7,x",
+    "defect --ell 3 --conductor 15 --subgroup 3 --primes 7,x",
+    # terms that cancel: T^2 - T^2 + T is T; T - T is no polynomial
+    "simulate --ell 3 --n 3 --poly T^2-T^2+T",
+    "simulate --ell 3 --n 3 --poly T-T",
 ]
 
 
@@ -88,7 +107,7 @@ def run(argv: list[str]) -> dict:
 
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(list(argv))
+        code = main([a.replace("{data}", str(DATA)) for a in argv])
     return {
         "argv": list(argv),
         "code": code,
