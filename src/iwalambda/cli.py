@@ -56,10 +56,10 @@ SCHEMA = "iwalambda/1"
 # ---------------------------------------------------------------------------
 # rendering
 
-def _char_label(chi: characters.AbsChar, omega: characters.AbsChar | None) -> str:
+def _char_label(chi: characters.AbsChar, omega: characters.AbsChar) -> str:
     if chi.is_trivial:
         return "one"
-    if omega is not None and chi == omega:
+    if chi == omega:
         return "omega"
     return "chi(" + ",".join(str(c) for c in chi.coeffs) + ")"
 
@@ -68,7 +68,7 @@ def _render_virtual(x: characters.VirtualChar, field: fields.FieldSpec) -> dict[
     """Multiplicities by orbit label; x must be a sum of whole orbits."""
     if x.group != field.delta or not x.is_frobenius_stable(field.ell):
         raise AssertionError("virtual character is not Frobenius-stable")
-    omega = characters.teichmuller(field).rep if field.contains_mu_ell else None
+    omega = characters.teichmuller(field).rep
     reps = (phi.rep for phi in defect.ladic_chars_of(field))
     return {_char_label(chi, omega): m for chi in reps if (m := x.multiplicity(chi))}
 
@@ -187,15 +187,10 @@ def _load_config(path: str) -> dict[str, str]:
     return out
 
 
-def _field_from_args(args) -> fields.FieldSpec:
-    return fields.field_spec(int(args.ell), int(args.conductor), _int_list(args.subgroup))
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_chars(args) -> dict:
-    field = _field_from_args(args)
+def cmd_chars(args, field) -> tuple[dict, dict, bool]:
     field.require_mirror_valid()
     table = characters.char_table(field)
     omega = table.chars[table.omega]
@@ -211,26 +206,19 @@ def cmd_chars(args) -> dict:
         }
         for phi, label, orbit in zip(chars, labels, table.orbits)
     ]
-    return {"field": _render_field(field), "input": {}, "result": {"characters": result}, "oracle_checked": False}
+    return {}, {"characters": result}, False
 
 
-def cmd_defect(args) -> dict:
-    field = _field_from_args(args)
+def cmd_defect(args, field) -> tuple[dict, dict, bool]:
     S = _int_list(args.primes)
     value = defect.defect_character(field, S)
     if args.verify:
         if defect.defect_oracle(field, S) != value:
             raise AssertionError("defect oracle disagrees with the closed form")
-    return {
-        "field": _render_field(field),
-        "input": {"S": sorted(S)},
-        "result": _render_virtual(value, field),
-        "oracle_checked": args.verify,
-    }
+    return {"S": sorted(S)}, _render_virtual(value, field), args.verify
 
 
-def cmd_lambda(args) -> dict:
-    field = _field_from_args(args)
+def cmd_lambda(args, field) -> tuple[dict, dict, bool]:
     S = _int_list(args.primes)
     parity = args.parity
     if parity == "real":
@@ -252,19 +240,13 @@ def cmd_lambda(args) -> dict:
         # ScaleError past its level cap rather than go unchecked
         if parity == "real" and defect.lambda_shift_real_oracle(field, S) != expr.shift:
             raise AssertionError("lambda-shift oracle disagrees with the closed form")
-    payload = {"S": sorted(S), "parity": parity}
+    given = {"S": sorted(S), "parity": parity}
     if field.ell == field.conductor and parity == "real" and field.ell not in S:
-        payload["imo_lambda"] = defect.imo_lambda(field.ell, S)
-    return {
-        "field": _render_field(field),
-        "input": payload,
-        "result": _render_lambda(expr, field),
-        "oracle_checked": args.verify,
-    }
+        given["imo_lambda"] = defect.imo_lambda(field.ell, S)
+    return given, _render_lambda(expr, field), args.verify
 
 
-def cmd_reflect(args) -> dict:
-    field = _field_from_args(args)
+def cmd_reflect(args, field) -> tuple[dict, dict, bool]:
     S = _int_list(args.set_s)
     T = _int_list(args.set_t)
     report = defect.reflection_check(field, S, T)
@@ -277,23 +259,19 @@ def cmd_reflect(args) -> dict:
             value = k.value if k.case is defect.CaseTag.WILD_MIRROR else defect.defect_character(field, tame)
             if value != defect.defect_oracle(field, tame):
                 raise AssertionError("defect oracle disagrees with the closed form")
-    return {
-        "field": _render_field(field),
-        "input": {"S": sorted(S), "T": sorted(T)},
-        "result": {
-            "identity_holds": report.holds,
-            "case": report.kappa_rhs.case.value,
-            "kappa": _render_virtual(report.kappa_rhs.value, field),
-            "lhs": _render_lambda(report.lhs, field),
-            "rhs": _render_lambda(report.rhs, field),
-        },
-        "oracle_checked": args.verify,
+    result = {
+        "identity_holds": report.holds,
+        "case": report.kappa_rhs.case.value,
+        "kappa": _render_virtual(report.kappa_rhs.value, field),
+        "lhs": _render_lambda(report.lhs, field),
+        "rhs": _render_lambda(report.rhs, field),
     }
+    return {"S": sorted(S), "T": sorted(T)}, result, args.verify
 
 
-def cmd_simulate(args) -> dict:
+def cmd_simulate(args, field) -> tuple[dict, dict, bool]:
     polys = tuple(parse_poly(p) for p in (args.poly or ()))
-    spec = iwasawa.ElementaryModuleSpec(int(args.ell), rho=args.rho, polys=polys, mus=_int_list(args.mu))
+    spec = iwasawa.ElementaryModuleSpec(args.ell, rho=args.rho, polys=polys, mus=_int_list(args.mu))
     n_min, n_max = args.n_min, args.n
     if n_max < n_min:
         raise IwalambdaError("--n must be at least --n-min")
@@ -318,50 +296,52 @@ def cmd_simulate(args) -> dict:
                 level = (f, spec.ell, n, n + args.offset)
                 if sum(iwasawa.poly_level_valuations(*level)) != iwasawa.poly_level_valuation_direct(*level):
                     raise AssertionError("relation-lattice construction disagrees")
-    return {
-        "field": None,
-        "input": {
-            "ell": spec.ell,
-            "rho": spec.rho,
-            "polys": [list(f) for f in spec.polys],
-            "mus": list(spec.mus),
-            "levels": list(range(n_min, n_max + 1)),
-            "exponent_offset": args.offset,
-        },
-        "result": {
-            "orders": [table.entries[n] for n in range(n_min, n_max + 1)],
-            "fit": (
-                {"rho": fit.rho, "mu": fit.mu, "lambda": fit.lam, "nu": fit.nu}
-                if fit is not None
-                else "not yet stable"
-            ),
-        },
-        "oracle_checked": args.verify,
+    given = {
+        "ell": spec.ell,
+        "rho": spec.rho,
+        "polys": [list(f) for f in spec.polys],
+        "mus": list(spec.mus),
+        "levels": list(range(n_min, n_max + 1)),
+        "exponent_offset": args.offset,
     }
+    result = {
+        "orders": [table.entries[n] for n in range(n_min, n_max + 1)],
+        "fit": (
+            {"rho": fit.rho, "mu": fit.mu, "lambda": fit.lam, "nu": fit.nu}
+            if fit is not None
+            else "not yet stable"
+        ),
+    }
+    return given, result, args.verify
 
 
-def cmd_ambig(args) -> dict:
+def cmd_ambig(args, field) -> tuple[dict, dict, bool]:
     data = cohomology.AmbiguousInput(args.class_val, _int_list(args.ram), args.deg, args.unit_index)
-    return {
-        "field": None,
-        "input": {"h": data.h, "ram": list(data.ram), "deg": data.deg, "unit_index": data.unit_index},
-        "result": {"valuation": cohomology.ambiguous_valuation(data)},
-        "oracle_checked": False,
-    }
+    given = {"h": data.h, "ram": list(data.ram), "deg": data.deg, "unit_index": data.unit_index}
+    return given, {"valuation": cohomology.ambiguous_valuation(data)}, False
 
 
-def cmd_cohomology(args) -> dict:
+def cmd_cohomology(args, field) -> tuple[dict, dict, bool]:
     factors = _int_list(args.factors)
     group = groups.FiniteAbelianGroup(factors)
     sigma = tuple(_int_list(row) for row in args.sigma.split(";"))
     module = cohomology.FiniteGammaModule(group, sigma, args.order)
     order = cohomology.tate_h0(module)  # = |H^1|: the Herbrand quotient of a finite module is 1
-    return {
-        "field": None,
-        "input": {"factors": list(factors), "sigma": [list(r) for r in sigma], "order": args.order},
-        "result": {"h0": order, "h1": order, "herbrand": "1"},
-        "oracle_checked": False,
-    }
+    given = {"factors": list(factors), "sigma": [list(r) for r in sigma], "order": args.order}
+    return given, {"h0": order, "h1": order, "herbrand": "1"}, False
+
+
+# subcommand -> (handler, help line), in the order --help lists them
+_COMMANDS = {
+    "chars": (cmd_chars, "list the ell-adic irreducible characters"),
+    "defect": (cmd_defect, "defect character of a tame prime set"),
+    "lambda": (cmd_lambda, "lambda-shift prediction for a prime set"),
+    "reflect": (cmd_reflect, "check the reflection identity for (S, T)"),
+    "simulate": (cmd_simulate, "order table and parameter fit of an elementary module"),
+    "ambig": (cmd_ambig, "ambiguous-class valuation formula"),
+    "cohomology": (cmd_cohomology, "Tate cohomology of a cyclic action"),
+}
+_FIELD_COMMANDS = ("chars", "defect", "lambda", "reflect")  # take --ell, --conductor, --subgroup
 
 
 # ---------------------------------------------------------------------------
@@ -381,77 +361,54 @@ class _Parser(argparse.ArgumentParser):
         raise IwalambdaError(message)
 
 
-def _add_field_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--ell", type=int, required=True, help="odd prime ell")
-    p.add_argument("--conductor", type=int, required=True, help="cyclotomic conductor m (ell | m)")
-    p.add_argument("--subgroup", default="", help="comma list of residues generating H (empty: K = Q(zeta_m))")
-
-
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--verify", action="store_true", help="run the independent oracle before reporting")
-    p.add_argument("--format", choices=("json", "table"), default="json")
-    p.add_argument("--config", default=None, help="flat key=value file; flags take precedence")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="iwalambda", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    p = {name: sub.add_parser(name, help=text) for name, (_, text) in _COMMANDS.items()}
+    for name in _FIELD_COMMANDS:
+        p[name].add_argument("--ell", type=int, required=True, help="odd prime ell")
+        p[name].add_argument("--conductor", type=int, required=True, help="cyclotomic conductor m (ell | m)")
+        p[name].add_argument("--subgroup", default="", help="comma list of residues generating H (empty: K = Q(zeta_m))")
 
-    p = sub.add_parser("chars", help="list the ell-adic irreducible characters")
-    _add_field_args(p)
-    _add_common(p)
-    p.set_defaults(fn=cmd_chars)
+    p["defect"].add_argument("--primes", default="", help="comma list of tame primes S")
+    p["lambda"].add_argument("--primes", default="", help="comma list of primes S")
+    p["lambda"].add_argument("--parity", choices=("real", "imaginary", "wild"), default="real")
+    p["reflect"].add_argument("--S", dest="set_s", default="", help="comma list: ramified side")
+    p["reflect"].add_argument("--T", dest="set_t", default="", help="comma list: decomposed side")
 
-    p = sub.add_parser("defect", help="defect character of a tame prime set")
-    _add_field_args(p)
-    p.add_argument("--primes", default="", help="comma list of tame primes S")
-    _add_common(p)
-    p.set_defaults(fn=cmd_defect)
+    sim = p["simulate"]
+    sim.add_argument("--ell", type=int, required=True)
+    sim.add_argument("--rho", type=int, default=0)
+    sim.add_argument("--poly", action="append", default=None, help="distinguished polynomial, e.g. 'T^2+3T+3' (repeatable)")
+    sim.add_argument("--mu", default="", help="comma list of ell-power exponents m_j")
+    sim.add_argument("--n", type=int, required=True, help="largest level")
+    sim.add_argument("--n-min", type=int, default=0, help="smallest level (default 0)")
+    sim.add_argument("--offset", type=int, default=0, help="exponent offset k: cut to exponent ell^(n+k)")
 
-    p = sub.add_parser("lambda", help="lambda-shift prediction for a prime set")
-    _add_field_args(p)
-    p.add_argument("--primes", default="", help="comma list of primes S")
-    p.add_argument("--parity", choices=("real", "imaginary", "wild"), default="real")
-    _add_common(p)
-    p.set_defaults(fn=cmd_lambda)
+    amb = p["ambig"]
+    amb.add_argument("--class-val", type=int, required=True, help="valuation of the base class number")
+    amb.add_argument("--ram", default="", help="comma list of ramification-index valuations")
+    amb.add_argument("--deg", type=int, required=True, help="valuation of the extension degree")
+    amb.add_argument("--unit-index", type=int, default=0, help="valuation of the unit-norm index")
 
-    p = sub.add_parser("reflect", help="check the reflection identity for (S, T)")
-    _add_field_args(p)
-    p.add_argument("--S", dest="set_s", default="", help="comma list: ramified side")
-    p.add_argument("--T", dest="set_t", default="", help="comma list: decomposed side")
-    _add_common(p)
-    p.set_defaults(fn=cmd_reflect)
+    coh = p["cohomology"]
+    coh.add_argument("--factors", required=True, help="invariant factors, comma list")
+    coh.add_argument("--sigma", required=True, help="action matrix, rows ; separated, entries , separated")
+    coh.add_argument("--order", type=int, required=True, help="order of the acting cyclic group")
 
-    p = sub.add_parser("simulate", help="order table and parameter fit of an elementary module")
-    p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--rho", type=int, default=0)
-    p.add_argument("--poly", action="append", default=None, help="distinguished polynomial, e.g. 'T^2+3T+3' (repeatable)")
-    p.add_argument("--mu", default="", help="comma list of ell-power exponents m_j")
-    p.add_argument("--n", type=int, required=True, help="largest level")
-    p.add_argument("--n-min", type=int, default=0, help="smallest level (default 0)")
-    p.add_argument("--offset", type=int, default=0, help="exponent offset k: cut to exponent ell^(n+k)")
-    _add_common(p)
-    p.set_defaults(fn=cmd_simulate)
-
-    p = sub.add_parser("ambig", help="ambiguous-class valuation formula")
-    p.add_argument("--class-val", type=int, required=True, help="valuation of the base class number")
-    p.add_argument("--ram", default="", help="comma list of ramification-index valuations")
-    p.add_argument("--deg", type=int, required=True, help="valuation of the extension degree")
-    p.add_argument("--unit-index", type=int, default=0, help="valuation of the unit-norm index")
-    _add_common(p)
-    p.set_defaults(fn=cmd_ambig)
-
-    p = sub.add_parser("cohomology", help="Tate cohomology of a cyclic action")
-    p.add_argument("--factors", required=True, help="invariant factors, comma list")
-    p.add_argument("--sigma", required=True, help="action matrix, rows ; separated, entries , separated")
-    p.add_argument("--order", type=int, required=True, help="order of the acting cyclic group")
-    _add_common(p)
-    p.set_defaults(fn=cmd_cohomology)
-
+    for q in p.values():  # after each subcommand's own flags, where --help lists them
+        q.add_argument("--verify", action="store_true", help="run the independent oracle before reporting")
+        q.add_argument("--format", choices=("json", "table"), default="json")
+        q.add_argument("--config", default=None, help="flat key=value file; flags take precedence")
     return parser
 
 
 def main(argv=None) -> int:
+    """Run one subcommand and return its exit code.
+
+    A handler takes (args, field) and returns (input, result, oracle_checked).
+    main builds field for _FIELD_COMMANDS, --subgroup first, and passes None
+    otherwise; it writes those three, the rendered field and the schema."""
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     # config file pre-pass: inject values the flags do not already set
@@ -478,8 +435,17 @@ def main(argv=None) -> int:
             if a.startswith("--") and a.endswith("=--"):
                 raise IwalambdaError(f"missing value: {a!r}")
         args = parser.parse_args(argv)
-        payload = args.fn(args)
-        payload["schema"] = SCHEMA
+        field = None
+        if args.command in _FIELD_COMMANDS:
+            field = fields.field_spec(args.ell, args.conductor, _int_list(args.subgroup))
+        given, result, checked = _COMMANDS[args.command][0](args, field)
+        payload = {
+            "field": None if field is None else _render_field(field),
+            "input": given,
+            "result": result,
+            "oracle_checked": checked,
+            "schema": SCHEMA,
+        }
         _emit(payload, args.format)
         return 0
     except IwalambdaError as exc:
