@@ -163,7 +163,7 @@ def parse_poly(text: str) -> tuple[int, ...]:
         coeffs[deg] = coeffs.get(deg, 0) + coeff
     if not coeffs:
         raise IwalambdaError(f"empty polynomial: {text!r}")
-    top = max(coeffs)
+    top = max((deg for deg, c in coeffs.items() if c), default=0)  # terms may cancel
     return tuple(coeffs.get(k, 0) for k in range(top + 1))
 
 

@@ -39,6 +39,15 @@ class TestParsePoly:
         assert parse_poly("T^2-3T+9") == (9, -3, 1)
         assert parse_poly("3*T + T^2") == (0, 3, 1)
 
+    def test_cancelled_terms_set_no_degree(self):
+        assert parse_poly("T^2-T^2+T") == (0, 1)
+        assert parse_poly("T^3+2T-T^3+1-2T") == (1,)
+        assert parse_poly("T-T") == (0,)
+        argv = ["simulate", "--ell", "3", "--n", "3", "--poly"]
+        assert run_inprocess([*argv, "T^2-T^2+T"]) == run_inprocess([*argv, "T"])
+        rc, out, err = run_inprocess([*argv, "T-T"])
+        assert (rc, out, err) == (1, "", "error: polynomials must be monic of degree >= 1\n")
+
     def test_garbage(self):
         with pytest.raises(ValueError):
             parse_poly("T^x")
