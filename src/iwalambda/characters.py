@@ -17,7 +17,7 @@ from functools import lru_cache
 from .errors import FieldError
 from .exact import Record
 from .fields import FieldSpec
-from .groups import FiniteAbelianGroup, GroupElement, Subgroup, _primitive_root
+from .groups import FiniteAbelianGroup, GroupElement, Subgroup, unit_group
 
 REAL = "real"
 IMAGINARY = "imaginary"
@@ -378,15 +378,14 @@ def teichmuller_coeffs(field: FieldSpec) -> tuple[int, ...]:
     e = delta.exponent
     if e % (ell - 1) != 0:
         raise AssertionError("exponent of Delta not divisible by ell - 1")
-    g = _primitive_root(ell)
-    dlog_ell = {pow(g, j, ell): j for j in range(ell - 1)}
+    dlog_ell = unit_group(ell).dlog  # (Z/ell)* is cyclic on its least primitive root
     scale = e // (ell - 1)
     omega = AbsChar.from_values(
-        delta, [dlog_ell[field.residue_section(b) % ell] for b in delta.basis()], ell - 1
+        delta, [dlog_ell(field.residue_section(b)).coords[0] for b in delta.basis()], ell - 1
     )
     # verify against every generator of the ambient unit group
     for a in field.units._gens:
-        want = dlog_ell[a % ell] * scale % e
+        want = dlog_ell(a).coords[0] * scale % e
         if omega.value_at(field.delta_element(a)) != want:
             raise AssertionError("Teichmueller character failed verification")
     return omega.coeffs
