@@ -84,6 +84,10 @@ EXTRA_ARGVS = [
     # terms that cancel: T^2 - T^2 + T is T; T - T is no polynomial
     "simulate --ell 3 --n 3 --poly T^2-T^2+T",
     "simulate --ell 3 --n 3 --poly T-T",
+    # conductors 4 mod 8: (Z/4)* is one generator 3 of order 2, and p = 2 is ramified
+    "chars --ell 3 --conductor 12",
+    "defect --ell 3 --conductor 60 --primes 2,7,13 --verify",
+    "reflect --ell 3 --conductor 12 --S=2,3 --T=13 --verify",
 ]
 
 
