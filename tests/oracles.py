@@ -22,8 +22,9 @@ from iwalambda.splitting import decomposition_data
 
 
 # (ell, conductor, subgroup generators) of the fields the seeded property
-# tests sample: |Delta| from 4 to 80, two values of ell, one proper H
-PROPERTY_FIELDS = ((3, 15, ()), (3, 33, ()), (3, 15, (4,)), (5, 35, ()), (3, 165, ()))
+# tests sample: |Delta| from 4 to 80, two values of ell, one proper H, and
+# one conductor 4 mod 8, where (Z/4)* is a single generator of order 2
+PROPERTY_FIELDS = ((3, 15, ()), (3, 33, ()), (3, 15, (4,)), (5, 35, ()), (3, 165, ()), (3, 60, ()))
 
 
 def _chains(prefix=(), order=1, max_order=24, max_rank=3):

@@ -91,6 +91,12 @@ class TestCrt:
         assert crt([1, 0], [4, 9]) == 9
         assert crt([], []) == 0
 
+    def test_modulus_one(self):
+        # x = r mod 1 holds for every x, on either side of the list
+        assert crt([5, 0], [7, 1]) == 5
+        assert crt([0, 1], [1, 9]) == 1
+        assert crt([3], [1]) == 0
+
     def test_noncoprime_rejected(self):
         with pytest.raises(ValueError):
             crt([0, 1], [4, 6])

@@ -23,15 +23,18 @@ class TestUnitGroup:
         assert unit_group(3).group.invariant_factors == (2,)
         assert unit_group(15).group.invariant_factors == (2, 4)
         assert unit_group(9).group.invariant_factors == (6,)
+        # 4 exactly divides 12: (Z/4)* is the one generator 3, lifted to 7 = 1 mod 3
+        assert unit_group(12).group.invariant_factors == (2, 2)
+        assert unit_group(12).local_gens == {2: (7,), 3: (5,)}
 
     def test_structure_matches_order_census(self):
         # the abstract group and (Z/m)* must have identical element-order counts
-        for m in (3, 8, 9, 15, 16, 21, 24, 33, 35, 45, 99, 120, 200, 255):
+        for m in (3, 8, 9, 12, 15, 16, 21, 24, 33, 35, 45, 60, 99, 120, 132, 200, 255):
             U = unit_group(m)
             assert group_order_census(U.group) == unit_order_census(m), m
 
     def test_bijections_exhaustive(self):
-        for m in (3, 9, 15, 16, 40, 99, 256, 1000):
+        for m in (3, 9, 12, 15, 16, 40, 60, 99, 132, 256, 1000):
             U = unit_group(m)
             for el in U.group.elements():
                 assert U.dlog(U.residue_of(el)) == el
@@ -51,7 +54,7 @@ class TestUnitGroup:
     def test_local_generators(self):
         # for each p^a exactly dividing m, the lifts kept for p are 1 mod m / p^a,
         # and their products reach phi(p^a) residues: all the units = 1 mod m / p^a
-        for m in (3, 15, 24, 40, 99, 210, 1000, 4096):
+        for m in (3, 12, 15, 24, 40, 60, 99, 132, 210, 1000, 4096):
             U = unit_group(m)
             assert sorted(U.local_gens) == sorted(factorize(m))
             for p, a in factorize(m).items():

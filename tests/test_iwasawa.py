@@ -234,6 +234,15 @@ class TestDualConstruction:
                         assert _mult_matrix_mod(f, ell, n, q) == mult_matrix_by_division(f, ell, n, q), (
                             ell, n, offset, f)
 
+    def test_kernel_degenerate_shapes(self):
+        # no rows; rows of width 0, which have no pivot; and the cap n = 0,
+        # where every valuation is already n
+        assert snf_mod_valuations([], 3, 2) == []
+        assert snf_mod_valuations([[], []], 3, 2) == [2, 2]
+        assert snf_mod_valuations([], 3, 0) == []
+        assert snf_mod_valuations([[1, 2], [3, 9]], 3, 0) == [0, 0]
+        assert snf_mod_valuations([(1,), (3,)], 5, 0) == [0, 0]
+
     def test_kernel_matches_integer_smith_form(self):
         # small entries; entries far outside [0, ell^n) (+-k ell^n + r, up to
         # 10^6); small entries mixed with exact multiples of ell^n; and tuple

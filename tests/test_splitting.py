@@ -69,7 +69,8 @@ class TestDecomposition:
 
     @pytest.mark.parametrize("key", [*PROPERTY_FIELDS, (3, 24, ())], ids=str)
     def test_matches_residue_scan(self, key):
-        # every p < 100: unramified, tame ramified, wild, and p = 2 with (Z/8)* at m = 24
+        # every p < 100: unramified, tame ramified, wild, and p = 2 with (Z/4)*
+        # at m = 60 and (Z/8)* at m = 24
         F = field_spec(*key)
         for p in primes_below(100):
             d = decomposition_data(F, p)
