@@ -29,11 +29,6 @@ def snf_mod_valuations(rows: list[list[int]], ell: int, n: int) -> list[int]:
         raise ValueError("cap exponent must be nonnegative")
     q = ell**n
     a = [list(row) for row in rows]
-    nrows = len(a)
-    if nrows == 0:
-        return []
-    if not a[0]:
-        return [n] * nrows
     vals: list[int] = []
     vmin = 0
     powers = [ell**k for k in range(n + 1)]
@@ -74,5 +69,5 @@ def snf_mod_valuations(rows: list[list[int]], ell: int, n: int) -> list[int]:
             row[pc] = row[-1]
             row.pop()
         vals.append(vmin)
-    vals.extend([n] * (nrows - len(vals)))
+    vals.extend([n] * (len(rows) - len(vals)))
     return vals

@@ -126,9 +126,7 @@ def _render_text(payload: dict, fmt: str) -> str:
 # ---------------------------------------------------------------------------
 # input parsing
 
-def _int_list(text: str | None) -> tuple[int, ...]:
-    if not text:
-        return ()
+def _int_list(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(tok) for tok in text.split(",") if tok.strip() != "")
     except ValueError:

@@ -385,6 +385,4 @@ def imo_lambda(ell: int, S) -> int:
     if ell in S:
         raise PrimeSetError("S must be tame")
     weights = [ell ** splitting_exponent(ell, p) for p in S if p % ell == 1]
-    if not weights:
-        return 0
-    return sum(weights) - max(weights)
+    return sum(weights) - max(weights, default=0)

@@ -108,17 +108,13 @@ def factorize(n: int) -> dict[int, int]:
     if n <= 0:
         raise ValueError("factorize expects a positive integer")
     out: dict[int, int] = {}
-    for p in (2, 3):
+    # candidates 2, 3, then 6k - 1 and 6k + 1 (steps 1, 2, then 2, 4, 2, 4, ...)
+    p, step = 2, 1
+    while p * p <= n:
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
-    f = 5
-    while f * f <= n:
-        for p in (f, f + 2):
-            while n % p == 0:
-                out[p] = out.get(p, 0) + 1
-                n //= p
-        f += 6
+        p, step = p + step, 2 if p < 5 else 6 - step
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
@@ -177,7 +173,7 @@ def crt(residues: list[int], moduli: list[int]) -> int:
         if gcd(m, mi) != 1:
             raise ValueError("moduli must be pairwise coprime")
         # x + m*t = r (mod mi)
-        t = (r - x) * pow(m, -1, mi) % mi if mi > 1 else 0
+        t = (r - x) * pow(m, -1, mi) % mi
         x += m * t
         m *= mi
     return x % m

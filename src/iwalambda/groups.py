@@ -55,10 +55,7 @@ class FiniteAbelianGroup(Record):
 
     @property
     def order(self) -> int:
-        n = 1
-        for d in self.invariant_factors:
-            n *= d
-        return n
+        return prod(self.invariant_factors)
 
     @property
     def exponent(self) -> int:
@@ -318,7 +315,7 @@ class UnitGroupModM:
             q = p**a
             rest = m // q
             block = _unit_gens_prime_power(p, a)
-            self.local_gens[p] = tuple(crt([g, 1], [q, rest]) if rest > 1 else g % m for g, _ in block)
+            self.local_gens[p] = tuple(crt([g, 1], [q, rest]) for g, _ in block)
             gens.extend(self.local_gens[p])
             orders.extend(o for _, o in block)
             if block:
@@ -329,22 +326,13 @@ class UnitGroupModM:
         # Z^n over the generators, modulo their orders
         self._presentation = Quotient(diagonal_matrix(orders))
         self.group = self._presentation.group
-        self._basis_residues = [
-            self._residue_from_gen_coords(self._presentation.lift(b)) for b in self.group.basis()
-        ]
-
-    def _residue_from_gen_coords(self, x) -> int:
-        r = 1
-        for g, e, o in zip(self._gens, x, self._orders):
-            r = r * pow(g, e % o, self.m) % self.m
-        return r
 
     def residue_of(self, el: GroupElement) -> int:
         if el.group != self.group:
             raise ValueError("element not in this unit group")
         r = 1
-        for b, c in zip(self._basis_residues, el.coords):
-            r = r * pow(b, c, self.m) % self.m
+        for g, e, o in zip(self._gens, self._presentation.lift(el), self._orders):
+            r = r * pow(g, e % o, self.m) % self.m
         return r
 
     def dlog(self, a: int) -> GroupElement:

@@ -103,15 +103,11 @@ def decomposition_data(field: FieldSpec, p: int) -> PrimeLocalData:
     inertia_gens = [field.delta_element(g) for g in field.units.local_gens.get(p, ())]
     inertia = subgroup_generated(field.delta, inertia_gens)
 
-    if m_prime > 1:
-        frob_residue = crt([p % m_prime, 1], [m_prime, q]) if q > 1 else p % m
-        frob = field.delta_element(frob_residue)
-    else:
-        frob = field.delta.identity()
+    frob = field.delta_element(crt([p % m_prime, 1], [m_prime, q]))
     decomposition = subgroup_generated(field.delta, inertia_gens + [frob])
 
     n_p = 0 if p == field.ell else splitting_exponent(field.ell, p)
-    weight = 1 if p == field.ell else field.ell**n_p
+    weight = field.ell**n_p
     return PrimeLocalData(p, decomposition, inertia, frob, n_p, weight)
 
 
