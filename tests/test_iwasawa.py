@@ -241,7 +241,6 @@ class TestDualConstruction:
         assert snf_mod_valuations([[], []], 3, 2) == [2, 2]
         assert snf_mod_valuations([], 3, 0) == []
         assert snf_mod_valuations([[1, 2], [3, 9]], 3, 0) == [0, 0]
-        assert snf_mod_valuations([(1,), (3,)], 5, 0) == [0, 0]
 
     def test_kernel_matches_integer_smith_form(self):
         # small entries; entries far outside [0, ell^n) (+-k ell^n + r, up to
