@@ -88,6 +88,8 @@ EXTRA_ARGVS = [
     "chars --ell 3 --conductor 12",
     "defect --ell 3 --conductor 60 --primes 2,7,13 --verify",
     "reflect --ell 3 --conductor 12 --S=2,3 --T=13 --verify",
+    # ambig is a formula over given valuations, with no oracle for --verify to run
+    "ambig --class-val 1 --ram 1,1 --deg 1 --unit-index 1 --verify",
 ]
 
 
