@@ -26,7 +26,6 @@ _EXPORTS_BY_MODULE = {
         "LadicChar",
         "VirtualChar",
         "all_ladic_chars",
-        "contragredient",
         "induce_trivial",
         "inner_product",
         "mirror",

@@ -39,7 +39,7 @@ class AbsChar(Record):
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "coeffs", coeffs)
 
-    # explicit one-frame equality and hash, as for GroupElement
+    # explicit one-frame equality and hash, as for FiniteAbelianGroup
     def __eq__(self, other):
         if other.__class__ is self.__class__:
             return (self.group, self.coeffs) == (other.group, other.coeffs)
@@ -227,10 +227,6 @@ class VirtualChar:
         return cls(group, {trivial_char(group): 1})
 
     @classmethod
-    def from_abs(cls, chi: AbsChar) -> "VirtualChar":
-        return cls(chi.group, {chi: 1})
-
-    @classmethod
     def from_ladic(cls, phi: LadicChar) -> "VirtualChar":
         return cls(phi.group, dict.fromkeys(phi.orbit, 1))
 
@@ -248,14 +244,8 @@ class VirtualChar:
     def is_zero(self) -> bool:
         return not self._m
 
-    def total_multiplicity(self) -> int:
-        return sum(self._m.values())
-
     def is_frobenius_stable(self, ell: int) -> bool:
         return all(self._m.get(chi.frobenius(ell), 0) == k for chi, k in self._m.items())
-
-    def is_nonnegative(self) -> bool:
-        return all(k >= 0 for k in self._m.values())
 
     # algebra
     def _check(self, other: "VirtualChar") -> None:
@@ -282,9 +272,6 @@ class VirtualChar:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, VirtualChar) and self.group == other.group and self._m == other._m
-
-    def __hash__(self):
-        raise TypeError("VirtualChar is not hashable")
 
     def __repr__(self) -> str:
         if not self._m:
@@ -324,11 +311,6 @@ def induce_trivial(delta: FiniteAbelianGroup, D: Subgroup) -> VirtualChar:
         for psi in all_abs_chars(Q.group)
     }
     return VirtualChar(delta, mults)
-
-
-def contragredient(x: VirtualChar) -> VirtualChar:
-    """chi -> chi(sigma^{-1}): negate every coefficient vector."""
-    return VirtualChar(x.group, {chi.inverse(): k for chi, k in x._m.items()})
 
 
 def restrict(x: VirtualChar, D: Subgroup) -> VirtualChar:

@@ -106,17 +106,21 @@ def _emit(payload: dict, fmt: str) -> None:
 def _render_text(payload: dict, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    # aligned two-column text, deterministic ordering
+    # aligned two-column text of JSON values: a dict's keys and the indices
+    # of a list that holds containers extend the path; a list of scalars is
+    # one row of space-separated values
     rows: list[tuple[str, str]] = []
 
     def walk(prefix: str, value) -> None:
+        if isinstance(value, list) and any(isinstance(v, (dict, list)) for v in value):
+            value = dict(enumerate(value))
         if isinstance(value, dict):
             for k in sorted(value):
                 walk(f"{prefix}.{k}" if prefix else str(k), value[k])
         elif isinstance(value, list):
-            rows.append((prefix, " ".join(str(v) for v in value)))
+            rows.append((prefix, " ".join(map(json.dumps, value))))
         else:
-            rows.append((prefix, str(value)))
+            rows.append((prefix, json.dumps(value)))
 
     walk("", payload)
     width = max((len(k) for k, _ in rows), default=0)
@@ -394,8 +398,9 @@ def build_parser() -> argparse.ArgumentParser:
     coh.add_argument("--sigma", required=True, help="action matrix, rows ; separated, entries , separated")
     coh.add_argument("--order", type=int, required=True, help="order of the acting cyclic group")
 
-    for q in p.values():  # after each subcommand's own flags, where --help lists them
-        q.add_argument("--verify", action="store_true", help="run the independent oracle before reporting")
+    for name, q in p.items():  # after each subcommand's own flags, where --help lists them
+        if name != "ambig":  # a formula over given valuations, with no oracle to run
+            q.add_argument("--verify", action="store_true", help="run the independent oracle before reporting")
         q.add_argument("--format", choices=("json", "table"), default="json")
         q.add_argument("--config", default=None, help="flat key=value file; flags take precedence")
     return parser

@@ -13,7 +13,6 @@ from iwalambda.characters import (
     all_abs_chars,
     all_ladic_chars,
     char_table,
-    contragredient,
     induce_trivial,
     inner_product,
     mirror,
@@ -27,7 +26,7 @@ from iwalambda.characters import (
 from iwalambda.defect import ladic_chars_of
 from iwalambda.errors import FieldError
 from iwalambda.fields import FieldSpec, field_spec
-from iwalambda.groups import FiniteAbelianGroup, full_subgroup, subgroup_generated, trivial_subgroup
+from iwalambda.groups import FiniteAbelianGroup, subgroup_generated
 from oracles import (
     CHAINS,
     PROPERTY_FIELDS,
@@ -111,13 +110,12 @@ class TestInnerProduct:
 class TestInduction:
     def test_full_subgroup_gives_one(self):
         F = field_spec(3, 15)
-        assert induce_trivial(F.delta, full_subgroup(F.delta)) == VirtualChar.one(F.delta)
+        assert induce_trivial(F.delta, subgroup_generated(F.delta, F.delta.basis())) == VirtualChar.one(F.delta)
 
     def test_trivial_subgroup_gives_regular(self):
         F = field_spec(3, 15)
-        ind = induce_trivial(F.delta, trivial_subgroup(F.delta))
-        assert ind.total_multiplicity() == F.delta.order
-        assert all(ind.multiplicity(chi) == 1 for chi in all_abs_chars(F.delta))
+        ind = induce_trivial(F.delta, subgroup_generated(F.delta, []))
+        assert ind == VirtualChar(F.delta, dict.fromkeys(all_abs_chars(F.delta), 1))
 
     def test_kernel_scan_example(self):
         # subgroup generated by (1,0) in (2,4): characters with first coeff 0
@@ -215,15 +213,16 @@ class TestInduction:
     def test_other_group_rejected(self):
         G = FiniteAbelianGroup((2, 4))
         with pytest.raises(ValueError, match="different group"):
-            induce_trivial(FiniteAbelianGroup((8,)), full_subgroup(G))
+            induce_trivial(FiniteAbelianGroup((8,)), subgroup_generated(G, G.basis()))
 
 
 class TestRestrict:
     def test_identity_cases(self):
         F = field_spec(3, 15)
         one = VirtualChar.one(F.delta)
-        assert restrict(one, trivial_subgroup(F.delta)).total_multiplicity() == 1
-        full = full_subgroup(F.delta)
+        x = restrict(one, subgroup_generated(F.delta, []))
+        assert x == VirtualChar.one(x.group)
+        full = subgroup_generated(F.delta, F.delta.basis())
         x = restrict(one, full)
         assert x.multiplicity(trivial_char(x.group)) == 1
 
@@ -234,22 +233,6 @@ class TestRestrict:
             res = restrict(reg, D)
             index = F.delta.order // D.order
             assert all(res.multiplicity(c) == index for c in all_abs_chars(res.group))
-
-
-class TestContragredient:
-    def test_examples(self):
-        G = FiniteAbelianGroup((2, 4))
-        one = VirtualChar.one(G)
-        assert contragredient(one) == one
-        chi = AbsChar(G, (0, 1))
-        assert contragredient(VirtualChar.from_abs(chi)) == VirtualChar.from_abs(AbsChar(G, (0, 3)))
-
-    def test_involution(self):
-        F = field_spec(3, 33)
-        rng = random.Random(8)
-        for _ in range(20):
-            x = stable_random_char(F, rng)
-            assert contragredient(contragredient(x)) == x
 
 
 class TestTeichmuller:
@@ -320,7 +303,7 @@ class TestMirror:
     def test_group_checked_on_every_input(self):
         F = field_spec(3, 15)
         G = FiniteAbelianGroup((2, 2))
-        for x in (VirtualChar.zero(G), VirtualChar.one(G), VirtualChar.from_abs(AbsChar(G, (1, 1)))):
+        for x in (VirtualChar.zero(G), VirtualChar.one(G), VirtualChar(G, {AbsChar(G, (1, 1)): 1})):
             with pytest.raises(ValueError, match="characters of different groups"):
                 mirror(x, F)
 
@@ -357,7 +340,7 @@ class TestCharTable:
             assert table.mirror[table.frobenius[i]] == table.frobenius[j]
             assert table.odd[j] == 1 - table.odd[i]
             assert parity_of_value(starred.value_at(F.tau_bar), e) != parity_of_value(chi.value_at(F.tau_bar), e)
-            assert mirror(VirtualChar.from_abs(chi), F) == VirtualChar.from_abs(starred)
+            assert mirror(VirtualChar(F.delta, {chi: 1}), F) == VirtualChar(F.delta, {starred: 1})
 
     def test_one_shared_character_per_vector(self):
         F = field_spec(3, 165)
@@ -396,7 +379,7 @@ class TestParitySplit:
         F = field_spec(3, 15)
         reg = VirtualChar(F.delta, {chi: 1 for chi in all_abs_chars(F.delta)})
         re, im = parity_split(reg, F.tau_bar)
-        assert re.total_multiplicity() == 4 and im.total_multiplicity() == 4
+        assert len(re.support()) == 4 and len(im.support()) == 4
         assert re + im == reg
         assert inner_product(re, im) == 0
 
@@ -413,6 +396,6 @@ class TestParitySplit:
 def test_virtual_char_frobenius_stability_flag():
     F = field_spec(3, 15)
     deg2 = next(c for c in all_ladic_chars(F.delta, 3, F.tau_bar) if c.degree == 2)
-    partial = VirtualChar.from_abs(deg2.orbit[0])  # half an orbit
+    partial = VirtualChar(F.delta, {deg2.orbit[0]: 1})  # half an orbit
     assert not partial.is_frobenius_stable(3)
     assert VirtualChar.from_ladic(deg2).is_frobenius_stable(3)

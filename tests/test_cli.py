@@ -10,7 +10,7 @@ import sys
 import time
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import iwalambda.cohomology
@@ -19,6 +19,7 @@ import iwalambda.errors
 import iwalambda.fields
 import iwalambda.groups
 import iwalambda.iwasawa
+import cli_corpus
 from iwalambda.cli import main, parse_poly
 from oracles import primes_below
 
@@ -307,6 +308,17 @@ class TestAmbigAndCohomology:
         rc, _, err = run_cli("ambig", "--class-val", "0", "--ram", "", "--deg", "1")
         assert rc == 5 and "inconsistent" in err
 
+    def test_ambig_rejects_verify(self, tmp_path):
+        # a formula over given valuations: there is no oracle for --verify to run
+        argv = ["ambig", "--class-val", "1", "--ram", "1,1", "--deg", "1", "--unit-index", "1"]
+        rejected = (1, "", "error: unrecognized arguments: --verify\n")
+        assert run_cli(*argv, "--verify") == rejected
+        cfg = tmp_path / "job.cfg"
+        cfg.write_text("verify = true\n")
+        assert run_inprocess([*argv, "--config", str(cfg)]) == rejected
+        cfg.write_text("verify = false\n")
+        assert run_inprocess([*argv, "--config", str(cfg)]) == run_inprocess(argv)
+
     def test_cohomology(self):
         rc, out, _ = run_cli("cohomology", "--factors", "4", "--sigma", "-1", "--order", "2")
         assert json.loads(out)["result"] == {"h0": 2, "h1": 2, "herbrand": "1"}
@@ -590,6 +602,29 @@ class TestUsageErrors:
         assert out.startswith("usage: iwalambda")
 
 
+def table_value(text: str):
+    """A --format table value as JSON: one value, or a space-joined list of
+    values (the empty text is the empty list)."""
+    try:
+        return json.loads(text)
+    except ValueError:
+        return [json.loads(t) for t in text.split(" ")] if text else []
+
+
+def leaf_count(value) -> int:
+    """The rows --format table prints for a JSON value: one per scalar or
+    list of scalars."""
+    if isinstance(value, list) and any(isinstance(v, (dict, list)) for v in value):
+        value = dict(enumerate(value))
+    return sum(map(leaf_count, value.values())) if isinstance(value, dict) else 1
+
+
+# the corpus argvs that exit 0 with JSON output, as text
+TABLE_ARGVS = [
+    " ".join(line["argv"]) for line in cli_corpus.load() if line["code"] == 0 and "--format" not in line["argv"]
+]
+
+
 class TestConfigAndFormats:
     def test_config_file(self, tmp_path):
         cfg = tmp_path / "job.cfg"
@@ -636,6 +671,46 @@ class TestConfigAndFormats:
         assert rc == 0
         assert "result.omega" in out and "1" in out
 
+    def test_table_example(self):
+        rc, out, _ = run_inprocess(["cohomology", "--factors", "3,9", "--sigma", "2,0;0,4", "--order", "6",
+                                    "--format", "table"])
+        assert rc == 0 and out == (
+            'field            null\n'
+            'input.factors    3 9\n'
+            'input.order      6\n'
+            'input.sigma.0    2 0\n'
+            'input.sigma.1    0 4\n'
+            'oracle_checked   false\n'
+            'result.h0        1\n'
+            'result.h1        1\n'
+            'result.herbrand  "1"\n'
+            'schema           "iwalambda/1"\n'
+        )
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(st.sampled_from(TABLE_ARGVS))
+    @example("chars --ell 3 --conductor 15")
+    @example("simulate --ell 3 --poly T^2+3T --poly T+3 --mu 1 --n 2")
+    @example("cohomology --factors 3,9 --sigma=2,0;0,4 --order 6")
+    @example("lambda --ell 3 --conductor 3 --primes 7,13 --parity real --verify")
+    def test_every_table_value_is_json(self, argv):
+        """Each row is a path into the JSON payload and the leaf there: one
+        JSON value, or a space-joined list of them, and each leaf has one row."""
+        argv = [a.replace("{data}", str(cli_corpus.DATA)) for a in argv.split(" ")]
+        rc, out, _ = run_inprocess(argv)
+        assert rc == 0
+        payload = json.loads(out)
+        rc, table, err = run_inprocess([*argv, "--format", "table"])
+        assert (rc, err) == (0, "")
+        rows = [line.partition(" ")[::2] for line in table.splitlines()]
+        for path, text in rows:
+            leaf = payload
+            for key in path.split("."):
+                leaf = leaf[int(key)] if isinstance(leaf, list) else leaf[key]
+            value = table_value(text.lstrip(" "))
+            assert json.dumps(leaf) in (json.dumps(value), json.dumps([value])), (path, text)
+        assert len({path for path, _ in rows}) == len(rows) == leaf_count(payload)
+
     def test_main_callable_inprocess(self, capsys):
         assert main(["defect", "--ell", "3", "--conductor", "3", "--primes", "7,13"]) == 0
         out = capsys.readouterr().out
@@ -665,7 +740,8 @@ class TestDeterminism:
 # conductor 2805 and the large field 98403 with H = <93484>
 PINNED_OUTPUT = [
     ("chars --ell 3 --conductor 15", 0, "fb5581021eae0e413bf41b92b7934423f0d5533dbb2d89a7ed274a5da1d5a895"),
-    ("chars --ell 3 --conductor 165 --format table", 0, "c54d1e5cd54b09294196a18e560780a5da938ce9cab445749644d45e282036d3"),
+    # regenerated when the table began to print JSON values
+    ("chars --ell 3 --conductor 165 --format table", 0, "9f9d51bc269ee73e0f632490703e712ce0ab7b1e4ac7bee15e54cebcb31d2766"),
     ("chars --ell 5 --conductor 35", 0, "3799ab09694207734e6ff675a6cb55ac3a097d6948f1fd5f537d5c6996aceea6"),
     ("chars --ell 3 --conductor 15 --subgroup 4", 0, "2db7cc3fad0ef1c6d1105ba6d1e8f77f43f7eb3ad63137ad6f7023dd2f073f9d"),
     ("chars --ell 3 --conductor 2805", 0, "72b737268749a0abdf640a938f3446e8b9329b8fa21ec9804cbd9b98666818c0"),

@@ -227,7 +227,7 @@ class TestDefect:
                 d = defect_character(F, S)
                 real, imag = parity_split(d, F.tau_bar)
                 assert real.is_zero
-                assert d.is_nonnegative()
+                assert all(k >= 0 for _, k in d.items())
 
     def test_component_bound(self):
         # defect component never exceeds the phi-multiplicity of chi_S^imag

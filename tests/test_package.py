@@ -7,6 +7,7 @@ process has long since imported every layer.
 """
 
 import ast
+import importlib.util
 import os
 import pathlib
 import subprocess
@@ -18,6 +19,7 @@ import pytest
 import iwalambda
 
 SRC = os.path.dirname(os.path.dirname(iwalambda.__file__))
+PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
 # the modules perfbench/tracer.py wraps, all reached through iwalambda.cli
 TRACED = ("exact", "groups", "fields", "characters", "splitting", "defect", "iwasawa", "_kernels",
@@ -179,6 +181,25 @@ class TestLazyCliLayers:
             assert iwalambda.cli.defect_character is iwalambda.defect.defect_character
             assert not hasattr(iwalambda.cli, "__path__") and not hasattr(iwalambda.cli, "is_prime")
         """)
+
+
+def test_every_name_the_benchmark_reads_resolves():
+    """perfbench/tracer.py wraps its TARGETS and reads cache_info() of CACHED,
+    its hooks read Subgroup.elements and .order and VirtualChar.support, and
+    perfbench reads _kernels.BACKEND and iwalambda.cli.defect_character."""
+    spec = importlib.util.spec_from_file_location("_perfbench_tracer", PERFBENCH / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    import iwalambda.cli
+    from iwalambda import _kernels, characters, defect, groups
+
+    for _, module, path, _ in tracer.TARGETS:
+        tracer._resolve(module, path)  # LookupError when the target is gone
+    assert set(tracer.cache_infos()) == set(tracer.CACHED)
+    assert all(hasattr(groups.Subgroup, name) for name in ("elements", "order"))
+    assert hasattr(characters.VirtualChar, "support")
+    assert _kernels.BACKEND
+    assert iwalambda.cli.defect_character is defect.defect_character
 
 
 def float_sites(tree: ast.AST) -> list[tuple[int, str]]:

@@ -74,7 +74,7 @@ class TestDecomposition:
         F = field_spec(*key)
         for p in primes_below(100):
             d = decomposition_data(F, p)
-            assert (frozenset(d.decomposition), frozenset(d.inertia)) == decomposition_by_scan(F, p), (key, p)
+            assert (frozenset(d.decomposition.elements), frozenset(d.inertia.elements)) == decomposition_by_scan(F, p), (key, p)
 
 
 class TestSplittingExponent:
@@ -143,7 +143,7 @@ class TestChiS:
             for S in ([2], [7, 13], [2, 5, 17], [5, 53], [3, 7]):
                 if any(F.conductor % p == 0 and p != 3 and m == 3 for p in S):
                     continue
-                total = chi_S(F, S).total_multiplicity()
+                total = sum(k for _, k in chi_S(F, S).items())
                 expect = 0
                 for p in S:
                     d = decomposition_data(F, p)
