@@ -1,6 +1,6 @@
 """The package namespace loads its layers on first use (PEP 562), the CLI
-runs only the layers its subcommand uses, and the source holds no
-floating point.
+runs only the layers its subcommand uses, every name the benchmark reads
+resolves, and the source holds no floating point.
 
 Each namespace check runs in a fresh interpreter, because this test
 process has long since imported every layer.
