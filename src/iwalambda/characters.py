@@ -374,22 +374,23 @@ def teichmuller_coeffs(field: FieldSpec) -> tuple[int, ...]:
 @lru_cache(maxsize=None)
 def char_table(field: FieldSpec) -> CharTable:
     """The indexed dual of field.delta, with the mirror list when K
-    contains the ell-th roots of unity; built once per field."""
+    contains the ell-th roots of unity; built once per field.  omega's
+    orbit must then be a fixed point of the Frobenius list and odd."""
     omega_coeffs = teichmuller_coeffs(field) if field.contains_mu_ell else None
-    return CharTable(field.delta, field.ell, field.tau_bar, omega_coeffs)
+    table = CharTable(field.delta, field.ell, field.tau_bar, omega_coeffs)
+    i = table.omega
+    if i is not None and (table.frobenius[i] != i or not table.odd[i]):
+        raise AssertionError("Teichmueller character must be an imaginary degree-1 orbit")
+    return table
 
 
 @lru_cache(maxsize=None)
 def teichmuller(field: FieldSpec) -> LadicChar:
-    """omega as an ell-adic character: its orbit must be a fixed point of
-    the table's Frobenius list and odd."""
+    """omega as an ell-adic character: the odd degree-1 orbit of char_table."""
     if not field.contains_mu_ell:
         raise FieldError("field does not contain ell-th roots of unity")
     table = char_table(field)
-    i = table.omega
-    if table.frobenius[i] != i or not table.odd[i]:
-        raise AssertionError("Teichmueller character must be an imaginary degree-1 orbit")
-    return LadicChar(field.delta, field.ell, (table.chars[i],), IMAGINARY)
+    return LadicChar(field.delta, field.ell, (table.chars[table.omega],), IMAGINARY)
 
 
 def mirror(x: VirtualChar, field: FieldSpec) -> VirtualChar:

@@ -56,21 +56,21 @@ SCHEMA = "iwalambda/1"
 # ---------------------------------------------------------------------------
 # rendering
 
-def _char_label(chi: characters.AbsChar, omega: characters.AbsChar) -> str:
-    if chi.is_trivial:
+def _label(table: characters.CharTable, i: int) -> str:
+    """The label of the orbit whose least member is position i of the table."""
+    if i == 0:  # the trivial character
         return "one"
-    if chi == omega:
+    if i == table.omega:
         return "omega"
-    return "chi(" + ",".join(str(c) for c in chi.coeffs) + ")"
+    return "chi(" + ",".join(map(str, table.chars[i].coeffs)) + ")"
 
 
 def _render_virtual(x: characters.VirtualChar, field: fields.FieldSpec) -> dict[str, int]:
     """Multiplicities by orbit label; x must be a sum of whole orbits."""
     if x.group != field.delta or not x.is_frobenius_stable(field.ell):
         raise AssertionError("virtual character is not Frobenius-stable")
-    omega = characters.teichmuller(field).rep
-    reps = (phi.rep for phi in defect.ladic_chars_of(field))
-    return {_char_label(chi, omega): m for chi in reps if (m := x.multiplicity(chi))}
+    table = characters.char_table(field)
+    return {_label(table, orbit[0]): m for orbit in table.orbits if (m := x.multiplicity(table.chars[orbit[0]]))}
 
 
 def _render_lambda(expr: defect.LambdaExpr, field: fields.FieldSpec) -> dict:
@@ -107,8 +107,8 @@ def _render_text(payload: dict, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
     # aligned two-column text of JSON values: a dict's keys and the indices
-    # of a list that holds containers extend the path; a list of scalars is
-    # one row of space-separated values
+    # of a list that holds containers extend the path; any other value, a
+    # list of scalars included, is one row
     rows: list[tuple[str, str]] = []
 
     def walk(prefix: str, value) -> None:
@@ -117,8 +117,6 @@ def _render_text(payload: dict, fmt: str) -> str:
         if isinstance(value, dict):
             for k in sorted(value):
                 walk(f"{prefix}.{k}" if prefix else str(k), value[k])
-        elif isinstance(value, list):
-            rows.append((prefix, " ".join(map(json.dumps, value))))
         else:
             rows.append((prefix, json.dumps(value)))
 
@@ -195,18 +193,16 @@ def _load_config(path: str) -> dict[str, str]:
 def cmd_chars(args, field) -> tuple[dict, dict, bool]:
     field.require_mirror_valid()
     table = characters.char_table(field)
-    omega = table.chars[table.omega]
-    chars = table.ladic_chars()  # in the order of table.orbits
-    labels = [_char_label(phi.rep, omega) for phi in chars]
+    labels = [_label(table, orbit[0]) for orbit in table.orbits]
     result = [
         {
             "label": label,
-            "coords": list(phi.rep.coeffs),
-            "degree": phi.degree,
-            "parity": phi.parity,
+            "coords": list(table.chars[orbit[0]].coeffs),
+            "degree": len(orbit),
+            "parity": characters.IMAGINARY if table.odd[orbit[0]] else characters.REAL,
             "mirror": labels[table.orbit_of[table.mirror[orbit[0]]]],
         }
-        for phi, label, orbit in zip(chars, labels, table.orbits)
+        for label, orbit in zip(labels, table.orbits)
     ]
     return {}, {"characters": result}, False
 

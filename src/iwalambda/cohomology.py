@@ -100,7 +100,7 @@ def _cokernel_order(F: list[list[int]], d: tuple[int, ...]) -> int:
     return prod(smith_normal_form([f + r for f, r in zip(F, diagonal_matrix(d))]))
 
 
-def _tate_order(M: FiniteGammaModule) -> int:
+def tate_h0(M: FiniteGammaModule) -> int:
     """|H^0-hat| = |H^1| = |coker(sigma-1)| * |coker N| / |M|, one reduction
     per lattice.  im N in ker(sigma-1) needs |M|/|coker N| to divide
     |coker(sigma-1)|, im(sigma-1) in ker N needs |M|/|coker(sigma-1)| to
@@ -112,14 +112,9 @@ def _tate_order(M: FiniteGammaModule) -> int:
     return product // M.module.order
 
 
-def tate_h0(M: FiniteGammaModule) -> int:
-    """|H^0-hat| = |ker(sigma - 1)| / |im(norm)|."""
-    return _tate_order(M)
-
-
 def tate_h1(M: FiniteGammaModule) -> int:
-    """|H^1| = |ker(norm)| / |im(sigma - 1)|."""
-    return _tate_order(M)
+    """|H^1|, equal to |H^0-hat| on a finite module."""
+    return tate_h0(M)
 
 
 def herbrand_quotient(M: FiniteGammaModule) -> "Fraction":
@@ -130,7 +125,7 @@ def herbrand_quotient(M: FiniteGammaModule) -> "Fraction":
     """
     from fractions import Fraction
 
-    order = _tate_order(M)
+    order = tate_h0(M)
     return Fraction(order, order)
 
 

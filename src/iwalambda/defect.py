@@ -336,8 +336,6 @@ class ReflectionReport:
         self.rhs = rhs
         self.kappa_lhs = kappa_lhs
         self.kappa_rhs = kappa_rhs
-        self.case_lhs = kappa_lhs.case
-        self.case_rhs = kappa_rhs.case
 
 
 def reflection_check(field: FieldSpec, S, T) -> ReflectionReport:

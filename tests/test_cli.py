@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import iwalambda.characters
 import iwalambda.cohomology
 import iwalambda.defect
 import iwalambda.errors
@@ -116,6 +117,14 @@ class TestChars:
             target = tuple((w - x) % di for w, x, di in zip(omega, c["coords"], d))
             owners = [label for label, members in orbits if target in members]
             assert owners == [c["mirror"]], c["label"]
+
+    def test_an_even_omega_fails_the_table_check(self, monkeypatch):
+        # char_table is cached per FieldSpec, so the field is built afresh
+        monkeypatch.setattr(iwalambda.fields, "field_spec", iwalambda.fields.FieldSpec)
+        monkeypatch.setattr(iwalambda.characters, "teichmuller_coeffs", lambda F: (0,) * F.delta.rank)
+        rc, out, err = run_inprocess(["chars", "--ell", "3", "--conductor", "15"])
+        assert (rc, out) == (1, "")
+        assert err == "internal check failed: Teichmueller character must be an imaginary degree-1 orbit\n"
 
 
 class TestDefect:
@@ -602,15 +611,6 @@ class TestUsageErrors:
         assert out.startswith("usage: iwalambda")
 
 
-def table_value(text: str):
-    """A --format table value as JSON: one value, or a space-joined list of
-    values (the empty text is the empty list)."""
-    try:
-        return json.loads(text)
-    except ValueError:
-        return [json.loads(t) for t in text.split(" ")] if text else []
-
-
 def leaf_count(value) -> int:
     """The rows --format table prints for a JSON value: one per scalar or
     list of scalars."""
@@ -676,16 +676,26 @@ class TestConfigAndFormats:
                                     "--format", "table"])
         assert rc == 0 and out == (
             'field            null\n'
-            'input.factors    3 9\n'
+            'input.factors    [3, 9]\n'
             'input.order      6\n'
-            'input.sigma.0    2 0\n'
-            'input.sigma.1    0 4\n'
+            'input.sigma.0    [2, 0]\n'
+            'input.sigma.1    [0, 4]\n'
             'oracle_checked   false\n'
             'result.h0        1\n'
             'result.h1        1\n'
             'result.herbrand  "1"\n'
             'schema           "iwalambda/1"\n'
         )
+
+    def test_table_rows_keep_list_shape(self):
+        def rows(*argv):
+            rc, out, _ = run_inprocess([*argv, "--format", "table"])
+            assert rc == 0
+            return dict(line.split(None, 1) for line in out.splitlines())
+
+        reflect = rows("reflect", "--ell", "3", "--conductor", "15", "--S=3,7", "--T=13")
+        assert (reflect["input.T"], reflect["input.S"], reflect["field.subgroup"]) == ("[13]", "[3, 7]", "[]")
+        assert rows("simulate", "--ell", "3", "--mu", "1", "--n", "2")["input.mus"] == "[1]"
 
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(st.sampled_from(TABLE_ARGVS))
@@ -694,8 +704,8 @@ class TestConfigAndFormats:
     @example("cohomology --factors 3,9 --sigma=2,0;0,4 --order 6")
     @example("lambda --ell 3 --conductor 3 --primes 7,13 --parity real --verify")
     def test_every_table_value_is_json(self, argv):
-        """Each row is a path into the JSON payload and the leaf there: one
-        JSON value, or a space-joined list of them, and each leaf has one row."""
+        """Each row is a path into the JSON payload and the JSON text of the
+        leaf there, and each leaf has one row."""
         argv = [a.replace("{data}", str(cli_corpus.DATA)) for a in argv.split(" ")]
         rc, out, _ = run_inprocess(argv)
         assert rc == 0
@@ -707,8 +717,7 @@ class TestConfigAndFormats:
             leaf = payload
             for key in path.split("."):
                 leaf = leaf[int(key)] if isinstance(leaf, list) else leaf[key]
-            value = table_value(text.lstrip(" "))
-            assert json.dumps(leaf) in (json.dumps(value), json.dumps([value])), (path, text)
+            assert json.loads(text.lstrip(" ")) == leaf, (path, text)
         assert len({path for path, _ in rows}) == len(rows) == leaf_count(payload)
 
     def test_main_callable_inprocess(self, capsys):
@@ -740,8 +749,8 @@ class TestDeterminism:
 # conductor 2805 and the large field 98403 with H = <93484>
 PINNED_OUTPUT = [
     ("chars --ell 3 --conductor 15", 0, "fb5581021eae0e413bf41b92b7934423f0d5533dbb2d89a7ed274a5da1d5a895"),
-    # regenerated when the table began to print JSON values
-    ("chars --ell 3 --conductor 165 --format table", 0, "9f9d51bc269ee73e0f632490703e712ce0ab7b1e4ac7bee15e54cebcb31d2766"),
+    # regenerated when a list of scalars became one JSON value per table row
+    ("chars --ell 3 --conductor 165 --format table", 0, "5191cdc4fd971869feb27fb8d53195797e4ee9c1f9e1a89cef7a1e43fe6a06a7"),
     ("chars --ell 5 --conductor 35", 0, "3799ab09694207734e6ff675a6cb55ac3a097d6948f1fd5f537d5c6996aceea6"),
     ("chars --ell 3 --conductor 15 --subgroup 4", 0, "2db7cc3fad0ef1c6d1105ba6d1e8f77f43f7eb3ad63137ad6f7023dd2f073f9d"),
     ("chars --ell 3 --conductor 2805", 0, "72b737268749a0abdf640a938f3446e8b9329b8fa21ec9804cbd9b98666818c0"),
