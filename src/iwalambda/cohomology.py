@@ -21,7 +21,7 @@ from __future__ import annotations
 from math import prod
 
 from .errors import InconsistentDataError, IwalambdaError
-from .exact import Record, diagonal_matrix, identity_matrix, smith_normal_form, transpose
+from .exact import Record, diagonal_matrix, identity_matrix, require_ints, smith_normal_form, transpose
 from .groups import FiniteAbelianGroup, GroupElement, Subgroup, quotient, subgroup_generated
 
 
@@ -41,7 +41,9 @@ class FiniteGammaModule(Record):
     # looked up on the class at every construction, so the benchmark's
     # tracer (perfbench/tracer.py) can time the check as its own span
     def __post_init__(self) -> None:
-        object.__setattr__(self, "sigma", tuple(tuple(int(x) for x in row) for row in self.sigma))
+        object.__setattr__(self, "sigma", tuple(map(tuple, self.sigma)))
+        entries = (x for row in self.sigma for x in row)
+        require_ints(IwalambdaError, "sigma entry or actor order", *entries, self.order_n)
         k = self.module.rank
         d = self.module.invariant_factors
         if len(self.sigma) != k or any(len(r) != k for r in self.sigma):
@@ -172,7 +174,8 @@ class AmbiguousInput(Record):
     __slots__ = ("h", "ram", "deg", "unit_index")
 
     def __init__(self, h: int, ram: tuple[int, ...], deg: int, unit_index: int):
-        ram = tuple(int(r) for r in ram)
+        ram = tuple(ram)
+        require_ints(IwalambdaError, "valuation", h, *ram, deg, unit_index)
         if h < 0 or deg < 0 or unit_index < 0 or any(r < 0 for r in ram):
             raise IwalambdaError("valuations must be nonnegative")
         self._set_fields(h, ram, deg, unit_index)

@@ -63,6 +63,14 @@ class Record:
         return f"{type(self).__qualname__}({fields})"
 
 
+def require_ints(error: type[ValueError], what: str, *values) -> None:
+    """Raise error unless every value is an int: 1.5 is not truncated to 1,
+    and neither 7.0 nor "7" stands for 7."""
+    for value in values:
+        if not isinstance(value, int):
+            raise error(f"{what}: {value!r} is not an int")
+
+
 # ---------------------------------------------------------------------------
 # primes and factorization
 

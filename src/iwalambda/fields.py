@@ -14,7 +14,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import FieldError
-from .exact import is_prime
+from .exact import is_prime, require_ints
 from .groups import GroupElement, subgroup_generated, unit_group
 
 
@@ -24,12 +24,13 @@ class FieldSpec:
     def __init__(self, ell: int, conductor: int, subgroup_gens=()):
         if ell == 2 or not is_prime(ell):
             raise FieldError("ell must be an odd prime")
+        require_ints(FieldError, "conductor or subgroup generator", conductor, *subgroup_gens)
         if conductor % ell != 0:
             raise FieldError("conductor must be divisible by ell")
         self.ell = ell
         self.conductor = conductor
         self.units = unit_group(conductor)  # rejects m < 2 before any residue mod m
-        self.subgroup_gens = tuple(sorted(int(h) % conductor for h in subgroup_gens))
+        self.subgroup_gens = tuple(sorted(h % conductor for h in subgroup_gens))
         try:
             gens = [self.units.dlog(h) for h in self.subgroup_gens]
         except ValueError as exc:

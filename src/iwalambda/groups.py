@@ -22,7 +22,7 @@ from math import gcd, prod
 from .errors import FieldError, IwalambdaError, ScaleError
 from .exact import (
     Record, _hermite_coordinates, _snf_with_transform, crt, diagonal_matrix, factorize, hermite_normal_form,
-    identity_matrix, transpose,
+    identity_matrix, require_ints, transpose,
 )
 
 UNIT_GROUP_MODULUS_CAP = 10**5
@@ -32,7 +32,8 @@ class FiniteAbelianGroup(Record):
     __slots__ = ("invariant_factors",)
 
     def __init__(self, invariant_factors: tuple[int, ...]):
-        d = tuple(int(x) for x in invariant_factors)
+        d = tuple(invariant_factors)
+        require_ints(IwalambdaError, "invariant factor", *d)
         if any(x < 2 for x in d):
             raise IwalambdaError("invariant factors must be >= 2")
         if any(d[i + 1] % d[i] != 0 for i in range(len(d) - 1)):

@@ -23,7 +23,7 @@ from types import MappingProxyType
 
 from ._kernels import snf_mod_valuations
 from .errors import IwalambdaError, ScaleError
-from .exact import Record, diagonal_matrix, is_prime, smith_normal_form, transpose, valuation
+from .exact import Record, diagonal_matrix, is_prime, require_ints, smith_normal_form, transpose, valuation
 
 # Matrices are ell^n-dimensional; this cap admits 3^5 and 5^3 so that a
 # fit window in the stable regime exists for mu-exponents up to 2 at ell=3.
@@ -45,10 +45,11 @@ class ElementaryModuleSpec(Record):
                  mus: tuple[int, ...] = ()):
         if ell == 2 or not is_prime(ell):
             raise IwalambdaError("ell must be an odd prime")
+        polys = tuple(map(tuple, polys))
+        mus = tuple(mus)
+        require_ints(IwalambdaError, "rho, coefficient or mu", rho, *(c for f in polys for c in f), *mus)
         if rho < 0:
             raise IwalambdaError("rho must be nonnegative")
-        polys = tuple(tuple(int(c) for c in f) for f in polys)
-        mus = tuple(int(m) for m in mus)
         for f in polys:
             if len(f) < 2 or f[-1] != 1:
                 raise IwalambdaError("polynomials must be monic of degree >= 1")
@@ -115,11 +116,11 @@ def _mult_matrix_mod(f: tuple[int, ...], ell: int, n: int, q: int) -> list[list[
     return rows
 
 
-def poly_level_valuations(f: tuple[int, ...], ell: int, n: int, cap: int) -> list[int]:
-    """min(v_i, cap) over the elementary divisors of coker(mult by f), via
-    the mod-ell^cap kernel."""
+def poly_level_valuation(f: tuple[int, ...], ell: int, n: int, cap: int) -> int:
+    """The capped order: the sum of min(v_i, cap) over the elementary
+    divisors of coker(mult by f), via the mod-ell^cap kernel."""
     q = ell**cap
-    return snf_mod_valuations(_mult_matrix_mod(f, ell, n, q), ell, cap)
+    return sum(snf_mod_valuations(_mult_matrix_mod(f, ell, n, q), ell, cap))
 
 
 def poly_level_valuation_direct(f: tuple[int, ...], ell: int, n: int, cap: int) -> int:
@@ -156,6 +157,7 @@ def level_order(spec: ElementaryModuleSpec, n: int, exponent_offset: int = 0) ->
     lattice.  Polynomial summands build an ell^n-dimensional matrix, so
     they are subject to the dimension cap.
     """
+    require_ints(ValueError, "level or exponent offset", n, exponent_offset)
     if n < 0 or exponent_offset < 0:
         raise ValueError("level and exponent offset must be nonnegative")
     _require_matrix_dim(spec, n)
@@ -166,7 +168,7 @@ def level_order(spec: ElementaryModuleSpec, n: int, exponent_offset: int = 0) ->
     for m in spec.mus:
         total += dim * min(m, cap)
     for f in spec.polys:
-        total += sum(poly_level_valuations(f, ell, n, cap))
+        total += poly_level_valuation(f, ell, n, cap)
     return total
 
 
@@ -203,6 +205,7 @@ def level_order_table(
 ) -> LevelOrderTable:
     """x(n) for n_min <= n <= n_max; the deepest level's scale is checked
     before any level is computed."""
+    require_ints(ValueError, "level or exponent offset", n_min, n_max, exponent_offset)
     _require_matrix_dim(spec, n_max)
     return LevelOrderTable(
         {n: level_order(spec, n, exponent_offset) for n in range(n_min, n_max + 1)}

@@ -90,6 +90,48 @@ EXTRA_ARGVS = [
     "reflect --ell 3 --conductor 12 --S=2,3 --T=13 --verify",
     # ambig is a formula over given valuations, with no oracle for --verify to run
     "ambig --class-val 1 --ram 1,1 --deg 1 --unit-index 1 --verify",
+    # every subcommand, --verify on and off, the mid-size conductor 2805 and
+    # the large field 98403 with H = <93484>; the mirror at m = 561
+    "chars --ell 3 --conductor 165 --format table",
+    "defect --ell 3 --conductor 15 --primes 2,7,17",
+    "defect --ell 3 --conductor 165 --primes 7,13,19 --verify",
+    "defect --ell 5 --conductor 35 --primes 11,31,41",
+    "defect --ell 3 --conductor 2805 --primes 7,13 --verify",
+    "defect --ell 3 --conductor 98403 --subgroup 93484 --primes 7,13 --verify",
+    "lambda --ell 3 --conductor 3 --primes 7,13 --parity real --verify",
+    "lambda --ell 3 --conductor 15 --primes 2,7 --parity imaginary",
+    "lambda --ell 3 --conductor 33 --primes 3,7 --parity wild --verify",
+    "lambda --ell 3 --conductor 2805 --primes 7,13,19 --parity real",
+    "lambda --ell 3 --conductor 3 --primes= --parity imaginary",
+    "reflect --ell 3 --conductor 3 --S 3 --T=",
+    "reflect --ell 3 --conductor 15 --S 3,2 --T 7,13 --verify",
+    "reflect --ell 3 --conductor 165 --S 7,13 --T 3,19",
+    "reflect --ell 5 --conductor 35 --S 5 --T 11,31 --verify",
+    "reflect --ell 3 --conductor 98403 --subgroup 93484 --S 3,7 --T 13",
+    "simulate --ell 3 --rho 1 --poly T^2+3T --mu 1 --n 4 --n-min 1",
+    "simulate --ell 3 --poly T+3 --n 3 --verify",
+    "simulate --ell 5 --poly T^2+5 --n 2 --offset 1 --verify",
+    "ambig --class-val 3 --ram 0,2,1 --deg 2",
+    "cohomology --factors 9 --sigma 4 --order 3 --verify",
+    "defect --ell 3 --conductor 15 --primes 7,7",
+    "chars --ell 3 --conductor 120003",
+    "reflect --ell 3 --conductor 561 --S 3,7 --T 13",
+    # 4 exactly divides 60: (Z/4)* is one generator, and p = 2 is ramified in T
+    "reflect --ell 3 --conductor 15 --S=3,7 --T= --verify",
+    "reflect --ell 3 --conductor 60 --S=3 --T=2,7 --verify",
+    "lambda --ell 3 --conductor 33 --primes 7 --parity imaginary --verify",
+    # K = Q(zeta_3): the real shift also reports the rational-field value
+    "lambda --ell 3 --conductor 3 --primes 7,13",
+    # ell^n = 125 with a dense fold and two columns past the band
+    "simulate --ell 5 --poly T^2+5T+5 --n 3 --offset 2",
+    "cohomology --factors 3,9 --sigma 2,0;0,4 --order 6",
+    "simulate --ell 3 --poly T^2+3T --n 3",
+    # the table of each remaining subcommand
+    "defect --ell 3 --conductor 15 --primes 7,13 --format table",
+    "lambda --ell 3 --conductor 3 --primes 7,13 --format table",
+    "simulate --ell 3 --poly T^2+3T --n 3 --format table",
+    "ambig --class-val 1 --ram 1,1 --deg 1 --unit-index 1 --format table",
+    "cohomology --factors 3,9 --sigma=2,0;0,4 --order 6 --format table",
 ]
 
 

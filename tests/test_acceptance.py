@@ -237,14 +237,19 @@ def test_criterion_8_cli_determinism():
             ("chars", "--ell", "3", "--conductor", "33"),
             ("defect", "--ell", "3", "--conductor", "3", "--primes", "7,13", "--verify"),
             ("defect", "--ell", "3", "--conductor", "15", "--primes", "2,7,17"),
+            ("defect", "--ell", "3", "--conductor", "15", "--primes", "2,7,13", "--verify"),
             ("lambda", "--ell", "3", "--conductor", "3", "--primes", "7,13", "--parity", "real"),
             ("lambda", "--ell", "3", "--conductor", "15", "--primes", "2,7", "--parity", "imaginary"),
             ("lambda", "--ell", "3", "--conductor", "3", "--primes", "3,7", "--parity", "wild"),
             ("reflect", "--ell", "3", "--conductor", "3", "--S", "3", "--T", ""),
             ("reflect", "--ell", "3", "--conductor", "15", "--S", "3,2", "--T", "7,13"),
+            ("reflect", "--ell", "3", "--conductor", "3", "--S", "3", "--T", "7,13"),
             ("simulate", "--ell", "3", "--rho", "1", "--poly", "T^2+3T", "--mu", "1", "--n", "4", "--n-min", "1"),
+            ("simulate", "--ell", "3", "--poly", "T^2+3T", "--n", "4", "--n-min", "1"),
             ("ambig", "--class-val", "1", "--ram", "1,1", "--deg", "1", "--unit-index", "1"),
+            ("ambig", "--class-val", "1", "--ram", "1", "--deg", "1"),
             ("cohomology", "--factors", "3,9", "--sigma", "2,0;0,4", "--order", "6"),
+            ("cohomology", "--factors", "9", "--sigma", "4", "--order", "3"),
         ]
         for cmd in matrix:
             first = subprocess.run(

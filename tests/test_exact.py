@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from iwalambda.errors import ScaleError
+from iwalambda.errors import FieldError, IwalambdaError, ScaleError
 from iwalambda.exact import (
     Record,
     _snf_with_transform,
@@ -21,8 +21,9 @@ from iwalambda.exact import (
 )
 from iwalambda.characters import AbsChar, LadicChar
 from iwalambda.cohomology import AmbiguousInput, FiniteGammaModule
+from iwalambda.fields import FieldSpec
 from iwalambda.groups import FiniteAbelianGroup, GroupElement
-from iwalambda.iwasawa import ElementaryModuleSpec, FitParameters, LevelOrderTable
+from iwalambda.iwasawa import ElementaryModuleSpec, FitParameters, LevelOrderTable, level_order, level_order_table
 from oracles import det_by_cofactors, determinantal_divisors, order_by_powering, primes_below, valuation_by_division
 
 
@@ -351,3 +352,37 @@ class TestRecords:
     def test_repr_example(self):
         assert repr(FitParameters(1, 0, 2, -1)) == "FitParameters(rho=1, mu=0, lam=2, nu=-1)"
         assert repr(G26) == "FiniteAbelianGroup(invariant_factors=(2, 6))"
+
+
+# (entry, the error it raises for a bad value, a call taking one integer
+# input, an int that call accepts)
+INTEGER_INPUTS = [
+    ("conductor", FieldError, lambda v: FieldSpec(3, v), 15),
+    ("subgroup generator", FieldError, lambda v: FieldSpec(3, 15, (v,)), 4),
+    ("invariant factor", IwalambdaError, lambda v: FiniteAbelianGroup((3, v)), 9),
+    ("rho", IwalambdaError, lambda v: ElementaryModuleSpec(3, rho=v), 1),
+    ("coefficient", IwalambdaError, lambda v: ElementaryModuleSpec(3, polys=[(v, 1)]), 3),
+    ("mu", IwalambdaError, lambda v: ElementaryModuleSpec(3, mus=[v]), 1),
+    ("h", IwalambdaError, lambda v: AmbiguousInput(v, (1,), 1, 0), 1),
+    ("ram", IwalambdaError, lambda v: AmbiguousInput(1, (v,), 1, 0), 1),
+    ("deg", IwalambdaError, lambda v: AmbiguousInput(1, (1,), v, 0), 1),
+    ("unit_index", IwalambdaError, lambda v: AmbiguousInput(1, (1,), 1, v), 0),
+    ("sigma entry", IwalambdaError, lambda v: FiniteGammaModule(FiniteAbelianGroup((3,)), ((v,),), 2), 2),
+    ("order_n", IwalambdaError, lambda v: FiniteGammaModule(FiniteAbelianGroup((3,)), ((2,),), v), 2),
+    ("level", ValueError, lambda v: level_order(ElementaryModuleSpec(3, rho=1), v), 2),
+    ("exponent offset", ValueError, lambda v: level_order(ElementaryModuleSpec(3, rho=1), 2, v), 1),
+    ("table n_min", ValueError, lambda v: level_order_table(ElementaryModuleSpec(3, rho=1), v, 3), 1),
+    ("table n_max", ValueError, lambda v: level_order_table(ElementaryModuleSpec(3, rho=1), 0, v), 3),
+    ("table offset", ValueError, lambda v: level_order_table(ElementaryModuleSpec(3, rho=1), 0, 3, v), 1),
+]
+
+
+@pytest.mark.parametrize("entry, error, build, good", INTEGER_INPUTS, ids=[e[0] for e in INTEGER_INPUTS])
+@pytest.mark.parametrize("kind", [lambda v: v + 0.5, float, str], ids=["fraction", "integral float", "str"])
+def test_only_an_int_enters_the_integer_layers(entry, error, build, good, kind):
+    """No int() truncation and no float or str passed through: the entry
+    raises its own error class for a non-int, and accepts the int."""
+    build(good)
+    with pytest.raises(error, match="is not an int") as info:
+        build(kind(good))
+    assert type(info.value) is error
