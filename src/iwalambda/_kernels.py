@@ -8,6 +8,8 @@ dependencies; BACKEND names it for benchmark records.
 
 from __future__ import annotations
 
+from itertools import chain
+
 BACKEND = "python"
 
 
@@ -31,15 +33,21 @@ def snf_mod_valuations(rows: list[list[int]], ell: int, n: int) -> list[int]:
     a = [list(row) for row in rows]
     vals: list[int] = []
     vmin = 0
+    start = 0
     powers = [ell**k for k in range(n + 1)]
     while a and a[0] and vmin < n:
         # find a pivot of least valuation; valuations of the minor never
-        # drop below the previous pivot's, so the scan resumes at vmin
+        # drop below the previous pivot's, so the scan resumes at vmin.
+        # The rows are searched from start, where the last pivot row was
+        # (the next row once it is deleted), wrapping round to row 0: on a
+        # banded multiplication matrix the next unit is almost always in the
+        # row after the last pivot.  Every row is read before vmin moves up,
+        # so any entry found has the least valuation.
         piv = None
         while vmin < n and piv is None:
             stop = powers[vmin + 1]
-            for i, row in enumerate(a):
-                for j, x in enumerate(row):
+            for i in chain(range(start, len(a)), range(start)):
+                for j, x in enumerate(a[i]):
                     if x and x % stop:
                         piv = (i, j)
                         break
@@ -65,6 +73,7 @@ def snf_mod_valuations(rows: list[list[int]], ell: int, n: int) -> list[int]:
         # the pivot column is now a*e_pr; column ops clearing the pivot row
         # touch no other row, so dropping row and column is exact
         del a[pr]
+        start = pr
         for row in a:
             row[pc] = row[-1]
             row.pop()

@@ -15,7 +15,7 @@ import math
 from functools import lru_cache
 
 from .errors import FieldError
-from .exact import Record
+from .exact import Record, require_ints
 from .fields import FieldSpec
 from .groups import FiniteAbelianGroup, GroupElement, Subgroup, unit_group
 
@@ -34,6 +34,7 @@ class AbsChar(Record):
 
     def __init__(self, group: FiniteAbelianGroup, coeffs: tuple[int, ...]):
         d = group.invariant_factors
+        require_ints(ValueError, "character coefficient", *coeffs)
         if len(coeffs) != len(d) or any(not 0 <= c < di for c, di in zip(coeffs, d)):
             raise ValueError("character coefficients out of range")
         object.__setattr__(self, "group", group)
@@ -211,8 +212,10 @@ class VirtualChar:
     __slots__ = ("group", "_m")
 
     def __init__(self, group: FiniteAbelianGroup, mults: dict[AbsChar, int] | None = None):
+        mults = mults or {}
+        require_ints(ValueError, "multiplicity", *mults.values())
         self.group = group
-        self._m = {chi: int(k) for chi, k in (mults or {}).items() if k != 0}
+        self._m = {chi: k for chi, k in mults.items() if k}
         for chi in self._m:
             if chi.group != group:
                 raise ValueError("character of a different group")

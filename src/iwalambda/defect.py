@@ -28,7 +28,7 @@ from .characters import (
     teichmuller_coeffs,
 )
 from .errors import PrimeSetError, ScaleError
-from .exact import is_prime
+from .exact import is_prime, require_ints
 from .fields import FieldSpec
 from .splitting import chi_S, decomposition_data, splitting_exponent, validate_prime_set
 
@@ -66,7 +66,8 @@ class LambdaExpr:
     """Affine lambda prediction: integer base symbols + computed shift."""
 
     def __init__(self, base: dict[BaseSymbol, int], shift: VirtualChar):
-        self.base = {s: int(k) for s, k in base.items() if k != 0}
+        require_ints(ValueError, "base multiplicity", *base.values())
+        self.base = {s: k for s, k in base.items() if k}
         self.shift = shift
 
     def __add__(self, other):

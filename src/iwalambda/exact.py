@@ -176,6 +176,8 @@ def mult_order(a: int, m: int) -> int:
 
 def crt(residues: list[int], moduli: list[int]) -> int:
     """Solve x = r_i mod m_i for pairwise coprime moduli; result mod prod."""
+    if len(residues) != len(moduli):
+        raise ValueError("one residue per modulus")
     x, m = 0, 1
     for r, mi in zip(residues, moduli):
         if gcd(m, mi) != 1:
@@ -312,8 +314,10 @@ def smith_normal_form(m: list[list[int]]) -> tuple[int, ...]:
 
     The tuple has min(rows, cols) entries; trailing zeros are free cokernel
     factors.  The cokernel of M is the direct sum of Z/d_i plus one Z per
-    row beyond the rank.
+    row beyond the rank.  Rows of unequal length raise ValueError.
     """
+    if any(len(row) != len(m[0]) for row in m):
+        raise ValueError("matrix rows must have equal length")
     d, _, _ = _snf_with_transform(m)
     for i in range(len(d) - 1):
         if d[i + 1] != 0 and (d[i] == 0 or d[i + 1] % d[i] != 0):

@@ -72,7 +72,8 @@ class FiniteAbelianGroup(Record):
         return [GroupElement(self, tuple(row)) for row in identity_matrix(self.rank)]
 
     def element(self, coords) -> "GroupElement":
-        coords = tuple(int(c) for c in coords)
+        coords = tuple(coords)
+        require_ints(ValueError, "coordinate", *coords)
         if len(coords) != self.rank:
             raise ValueError("coordinate length does not match the group rank")
         coords = tuple(c % d for c, d in zip(coords, self.invariant_factors))
@@ -278,6 +279,7 @@ class UnitGroupModM:
     """
 
     def __init__(self, m: int):
+        require_ints(FieldError, "conductor", m)
         if m < 2:
             raise FieldError("conductor must be at least 2")
         if m > UNIT_GROUP_MODULUS_CAP:
@@ -342,8 +344,9 @@ def _power_table(g: int, order: int, q: int) -> list[int]:
     return table
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def unit_group(m: int) -> UnitGroupModM:
     """The group (Z/m)*, cached: construction fills one power table per
-    prime-power block of m."""
+    prime-power block of m.  The cache is typed, so 15.0 never finds the
+    group of 15 and raises FieldError like any other bad conductor."""
     return UnitGroupModM(m)

@@ -70,6 +70,7 @@ class ElementaryModuleSpec(Record):
 
 def omega_poly(ell: int, n: int) -> tuple[int, ...]:
     """Coefficients (ascending) of (1+T)^(ell^n) - 1; degree ell^n, no constant."""
+    require_ints(ValueError, "ell or level", ell, n)
     if n < 0:
         raise ValueError("level must be nonnegative")
     d = ell**n
@@ -183,6 +184,7 @@ class LevelOrderTable(Record):
 
     def __init__(self, entries: dict[int, int] | None = None):
         entries = dict(entries or {})
+        require_ints(ValueError, "level or order", *entries, *entries.values())
         ns = sorted(entries)
         if ns and ns[0] < 0:
             raise ValueError("levels must be nonnegative")
@@ -232,8 +234,11 @@ def fit_parameters(table: LevelOrderTable, ell: int) -> FitParameters | None:
     values then give lambda and nu.  A nonzero remainder in any division
     means the (unique) rational solution is not integral.  The solution
     must also have rho, mu, lambda >= 0 and reproduce the level preceding
-    the window when the table has one.
+    the window when the table has one.  ell must be an odd prime, as for
+    ElementaryModuleSpec.
     """
+    if ell == 2 or not is_prime(ell):
+        raise IwalambdaError("ell must be an odd prime")
     ns = table.levels()
     if len(ns) < 4:
         raise ValueError("table must contain at least 4 consecutive levels")

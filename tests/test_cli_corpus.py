@@ -17,3 +17,9 @@ def test_corpus_replays_in_both_orders():
             if got != want:
                 moved.append(f"{label}: {' '.join(want['argv'])}")
     assert not moved, f"{len(moved)} argvs differ from the corpus:\n" + "\n".join(moved)
+
+
+def test_corpus_lists_exactly_the_corpus_argvs():
+    # an argv added to EXTRA_ARGVS, or a benchmark argv that moved, is never
+    # replayed until the file is regenerated; this needs no CLI run
+    assert [line["argv"] for line in cli_corpus.load()] == cli_corpus.corpus_argvs()

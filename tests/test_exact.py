@@ -19,11 +19,14 @@ from iwalambda.exact import (
     smith_normal_form,
     valuation,
 )
-from iwalambda.characters import AbsChar, LadicChar
+from iwalambda.characters import AbsChar, LadicChar, VirtualChar
 from iwalambda.cohomology import AmbiguousInput, FiniteGammaModule
+from iwalambda.defect import BaseSymbol, LambdaExpr
 from iwalambda.fields import FieldSpec
-from iwalambda.groups import FiniteAbelianGroup, GroupElement
-from iwalambda.iwasawa import ElementaryModuleSpec, FitParameters, LevelOrderTable, level_order, level_order_table
+from iwalambda.groups import FiniteAbelianGroup, GroupElement, subgroup_generated, unit_group
+from iwalambda.iwasawa import (
+    ElementaryModuleSpec, FitParameters, LevelOrderTable, level_order, level_order_table, omega_poly,
+)
 from oracles import det_by_cofactors, determinantal_divisors, order_by_powering, primes_below, valuation_by_division
 
 
@@ -102,12 +105,23 @@ class TestCrt:
         with pytest.raises(ValueError):
             crt([0, 1], [4, 6])
 
+    @pytest.mark.parametrize("residues, moduli", [([1], [2, 3]), ([1, 2], [3]), ([], [5])])
+    def test_one_residue_per_modulus(self, residues, moduli):
+        # zip would drop the unmatched modulus or residue
+        with pytest.raises(ValueError, match="one residue per modulus"):
+            crt(residues, moduli)
+
 
 class TestSmith:
     def test_examples(self):
         assert smith_normal_form([[1, 0], [0, 1]]) == (1, 1)
         assert smith_normal_form([[2, 4], [6, 8]]) == (2, 4)
         assert smith_normal_form([[0]]) == (0,)
+
+    @pytest.mark.parametrize("M", [[[1, 2], [3]], [[1], [2, 3]], [[], [1]]])
+    def test_ragged_rows_rejected(self, M):
+        with pytest.raises(ValueError, match="equal length"):
+            smith_normal_form(M)
 
     def test_chain_and_determinant(self):
         rng = random.Random(2)
@@ -354,6 +368,8 @@ class TestRecords:
         assert repr(G26) == "FiniteAbelianGroup(invariant_factors=(2, 6))"
 
 
+C3 = FiniteAbelianGroup((3,))
+
 # (entry, the error it raises for a bad value, a call taking one integer
 # input, an int that call accepts)
 INTEGER_INPUTS = [
@@ -374,6 +390,16 @@ INTEGER_INPUTS = [
     ("table n_min", ValueError, lambda v: level_order_table(ElementaryModuleSpec(3, rho=1), v, 3), 1),
     ("table n_max", ValueError, lambda v: level_order_table(ElementaryModuleSpec(3, rho=1), 0, v), 3),
     ("table offset", ValueError, lambda v: level_order_table(ElementaryModuleSpec(3, rho=1), 0, 3, v), 1),
+    ("table level", ValueError, lambda v: LevelOrderTable({v: 1}), 0),
+    ("table order", ValueError, lambda v: LevelOrderTable({0: 1, 1: v}), 2),
+    ("omega level", ValueError, lambda v: omega_poly(3, v), 1),
+    ("element coordinate", ValueError, lambda v: C3.element([v]), 1),
+    ("subgroup generator coordinate", ValueError, lambda v: subgroup_generated(C3, [[v]]), 1),
+    # unit_group(15) is cached first: an untyped cache would answer 15.0 with it
+    ("unit group modulus", FieldError, unit_group, 15),
+    ("character coefficient", ValueError, lambda v: AbsChar(C3, (v,)), 1),
+    ("multiplicity", ValueError, lambda v: VirtualChar(C3, {AbsChar(C3, (1,)): v}), 1),
+    ("lambda base multiplicity", ValueError, lambda v: LambdaExpr({BaseSymbol.LAMBDA_REAL: v}, VirtualChar.zero(C3)), 1),
 ]
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iwalambda._kernels import snf_mod_valuations
-from iwalambda.errors import ScaleError
+from iwalambda.errors import IwalambdaError, ScaleError
 from iwalambda.exact import smith_normal_form, valuation
 from iwalambda.iwasawa import (
     ElementaryModuleSpec,
@@ -296,6 +296,14 @@ class TestFit:
     def test_too_short_table(self):
         with pytest.raises(ValueError):
             fit_parameters(LevelOrderTable({0: 0, 1: 1, 2: 2}), 3)
+
+    @pytest.mark.parametrize("ell", [4, 1, 2, 9, 1.5, 3.0, "3"])
+    def test_ell_must_be_an_odd_prime(self, ell):
+        # unchecked, 4 fitted (0, 0, 1, 0), 1 divided by zero and 1.5 gave floats
+        table = LevelOrderTable({0: 0, 1: 1, 2: 2, 3: 3})
+        assert fit_parameters(table, 3) == FitParameters(0, 0, 1, 0)
+        with pytest.raises(IwalambdaError, match="odd prime"):
+            fit_parameters(table, ell)
 
     def test_table_validation(self):
         with pytest.raises(ValueError, match="consecutive"):
