@@ -17,7 +17,7 @@ from functools import lru_cache
 from .errors import FieldError
 from .exact import Record, require_ints
 from .fields import FieldSpec
-from .groups import FiniteAbelianGroup, GroupElement, Subgroup, unit_group
+from .groups import FiniteAbelianGroup, GroupElement, Subgroup, quotient, unit_group
 
 REAL = "real"
 IMAGINARY = "imaginary"
@@ -84,10 +84,6 @@ class AbsChar(Record):
     def frobenius(self, ell: int) -> "AbsChar":
         d = self.group.invariant_factors
         return AbsChar(self.group, tuple((a * ell) % di for a, di in zip(self.coeffs, d)))
-
-    @property
-    def is_trivial(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
 
     def is_trivial_on(self, elements) -> bool:
         return all(self.value_at(g) == 0 for g in elements)
@@ -301,12 +297,10 @@ def induce_trivial(delta: FiniteAbelianGroup, D: Subgroup) -> VirtualChar:
 
     These are the pull-backs psi o pi of the characters psi of Q = Delta/D
     through the projection pi, so the work is [Delta:D] characters, not a
-    test of all |Delta| characters on all |D| elements; D keeps Q after the
-    first call.  psi(pi e_i) lies in Z/e_Q, and from_values lifts it to Delta.
+    test of all |Delta| characters on all |D| elements.  psi(pi e_i) lies in
+    Z/e_Q, and from_values lifts it to Delta.
     """
-    if D.parent != delta:
-        raise ValueError("subgroup of a different group")
-    Q = D.quotient()
+    Q = quotient(delta, D)
     e_Q = Q.group.exponent
     images = [Q.project(b) for b in delta.basis()]
     mults = {

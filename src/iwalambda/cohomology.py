@@ -119,16 +119,10 @@ def tate_h1(M: FiniteGammaModule) -> int:
     return tate_h0(M)
 
 
-def herbrand_quotient(M: FiniteGammaModule) -> "Fraction":
-    """|H^0-hat| / |H^1| as an exact rational; 1 for every finite module.
-
-    fractions is imported here, on first call, and nowhere else: no other
-    layer needs it, and it costs every CLI process a few milliseconds.
-    """
-    from fractions import Fraction
-
+def herbrand_quotient(M: FiniteGammaModule) -> int:
+    """|H^0-hat| / |H^1|, which is 1 for every finite module."""
     order = tate_h0(M)
-    return Fraction(order, order)
+    return order // order
 
 
 # ---------------------------------------------------------------------------

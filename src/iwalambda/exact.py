@@ -144,6 +144,7 @@ def valuation(x: int, ell: int) -> int:
     Raises for x = 0 (the valuation of zero is undefined here; callers that
     want the "infinite" convention handle 0 themselves).
     """
+    require_ints(ValueError, "valuation argument", x, ell)
     if x == 0:
         raise ValueError("valuation of zero undefined")
     if not is_prime(ell):
@@ -162,6 +163,7 @@ def mult_order(a: int, m: int) -> int:
     Computed by stripping primes from phi(m); the brute-force powering
     oracle lives in the tests.
     """
+    require_ints(ValueError, "mult_order argument", a, m)
     if m < 2:
         raise ValueError("modulus must be at least 2")
     a %= m
@@ -176,6 +178,7 @@ def mult_order(a: int, m: int) -> int:
 
 def crt(residues: list[int], moduli: list[int]) -> int:
     """Solve x = r_i mod m_i for pairwise coprime moduli; result mod prod."""
+    require_ints(ValueError, "residue or modulus", *residues, *moduli)
     if len(residues) != len(moduli):
         raise ValueError("one residue per modulus")
     x, m = 0, 1
@@ -318,6 +321,8 @@ def smith_normal_form(m: list[list[int]]) -> tuple[int, ...]:
     """
     if any(len(row) != len(m[0]) for row in m):
         raise ValueError("matrix rows must have equal length")
+    for row in m:
+        require_ints(ValueError, "matrix entry", *row)
     d, _, _ = _snf_with_transform(m)
     for i in range(len(d) - 1):
         if d[i + 1] != 0 and (d[i] == 0 or d[i + 1] % d[i] != 0):

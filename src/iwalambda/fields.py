@@ -15,7 +15,7 @@ from functools import lru_cache
 
 from .errors import FieldError
 from .exact import is_prime, require_ints
-from .groups import GroupElement, subgroup_generated, unit_group
+from .groups import GroupElement, quotient, subgroup_generated, unit_group
 
 
 class FieldSpec:
@@ -37,7 +37,7 @@ class FieldSpec:
             raise FieldError(f"subgroup generator not a unit mod {conductor}") from exc
         # Delta is reduced from the Hermite basis of H's lattice, whose size is
         # the rank of (Z/m)*, whatever |H| is
-        self._quotient = subgroup_generated(self.units.group, gens).quotient()
+        self._quotient = quotient(self.units.group, subgroup_generated(self.units.group, gens))
         self.delta = self._quotient.group
         self.tau_bar = self.delta_element(conductor - 1)
         # reduction mod ell is a homomorphism and ell | m: the generators decide

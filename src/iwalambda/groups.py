@@ -1,16 +1,19 @@
 """Finite abelian groups in invariant-factor form.
 
 A group is a chain (d_1 | d_2 | ... | d_k) with d_i >= 2; the empty chain
-is the trivial group.  Elements are coordinate vectors.  The module also
-builds (Z/m)* with a two-way residue/dlog bridge, subgroups with their own
-invariant-factor presentations, and quotients with explicit projection and
-section maps.  A subgroup H of G is the lattice spanned by its generators
-and G's relations, kept as that lattice's Hermite normal form B, so its cost
+is the trivial group.  Elements are coordinate vectors, and GroupElement is
+their one constructor: it checks that the coordinates are ints of the right
+number and reduces them.  The module also builds (Z/m)* with a two-way
+residue/dlog bridge, subgroups with their own invariant-factor
+presentations, and quotients with explicit projection and section maps.  A
+subgroup H of G is the lattice spanned by its generators and G's relations,
+kept as that lattice's Hermite normal form B and nothing else, so its cost
 follows the rank of G and not |H|: its order is |G| over the product of B's
 pivots, and g is in H when back-substitution against B divides exactly.
 Quotient is the one place a relation lattice is Smith reduced and the one
-reader of the Smith data: G/H, (Z/m)* as Z^n modulo the generator orders,
-and a subgroup's presentation (G's relations written in the basis B).
+reader of the Smith data: G/H (built only by quotient(G, H)), (Z/m)* as Z^n
+modulo the generator orders, and a subgroup's presentation (G's relations
+written in the basis B).
 """
 
 from __future__ import annotations
@@ -69,14 +72,9 @@ class FiniteAbelianGroup(Record):
 
     def basis(self) -> list["GroupElement"]:
         """The unit coordinate vectors, one generator of order d_i each."""
-        return [GroupElement(self, tuple(row)) for row in identity_matrix(self.rank)]
+        return [GroupElement(self, row) for row in identity_matrix(self.rank)]
 
     def element(self, coords) -> "GroupElement":
-        coords = tuple(coords)
-        require_ints(ValueError, "coordinate", *coords)
-        if len(coords) != self.rank:
-            raise ValueError("coordinate length does not match the group rank")
-        coords = tuple(c % d for c, d in zip(coords, self.invariant_factors))
         return GroupElement(self, coords)
 
     def elements(self):
@@ -86,11 +84,16 @@ class FiniteAbelianGroup(Record):
 
 
 class GroupElement(Record):
+    """An element of group, its int coordinates reduced mod the invariant factors."""
+
     __slots__ = ("group", "coords")
 
-    def __init__(self, group: FiniteAbelianGroup, coords: tuple[int, ...]):
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "coords", coords)
+    def __init__(self, group: FiniteAbelianGroup, coords):
+        coords = tuple(coords)
+        require_ints(ValueError, "coordinate", *coords)
+        if len(coords) != group.rank:
+            raise ValueError("coordinate length does not match the group rank")
+        self._set_fields(group, tuple(c % d for c, d in zip(coords, group.invariant_factors)))
 
     def _check(self, other: "GroupElement") -> None:
         if self.group != other.group:
@@ -125,9 +128,9 @@ class GroupElement(Record):
 class Subgroup:
     """The subgroup of parent that generators generate, kept as the Hermite
     normal form hnf of the lattice their coordinates span with diag(d), so
-    equal subgroups have equal forms.  Order, membership and as_group read
-    hnf alone and build no quotient; elements lists the subgroup only when
-    asked."""
+    equal subgroups have equal forms.  parent, generators and hnf are all it
+    holds: order, membership and as_group read hnf alone, build no quotient
+    and keep nothing; elements lists the subgroup only when asked."""
 
     def __init__(self, parent: FiniteAbelianGroup, generators):
         gens = tuple(g if isinstance(g, GroupElement) else parent.element(g) for g in generators)
@@ -160,42 +163,30 @@ class Subgroup:
         """Invariant-factor presentation (group, to_parent, from_parent): an
         abstract group, its embedding into the parent, and the inverse map,
         which raises ValueError off the subgroup."""
-        if not hasattr(self, "_structure"):
-            self._structure = _subgroup_structure(self)
-        return self._structure
+        G, B = self.parent, self.hnf
+        # H = L/diag(d)Z^k for the lattice L with basis B: in B's coordinates it
+        # is Z^k modulo the relations d_i e_i, each written by back-substitution
+        C = [_hermite_coordinates(B, row) for row in diagonal_matrix(G.invariant_factors)]
+        if None in C:
+            raise AssertionError("subgroup lattice does not contain the relations")
+        P = Quotient(C)
 
-    def quotient(self) -> "Quotient":
-        """parent/self with its projection, reduced on first use and kept."""
-        if not hasattr(self, "_quotient"):
-            self._quotient = quotient(self.parent, self)
-        return self._quotient
+        def to_parent(el: GroupElement) -> GroupElement:
+            y = P.lift(el)
+            return G.element(sum(c * x for c, x in zip(y, col)) for col in zip(*B))
+
+        def from_parent(g: GroupElement) -> GroupElement:
+            y = _hermite_coordinates(B, g.coords) if g.group == G else None
+            if y is None:
+                raise ValueError("element not in the subgroup")
+            return P.image(y)
+
+        return P.group, to_parent, from_parent
 
 
 def subgroup_generated(G: FiniteAbelianGroup, gens) -> Subgroup:
     """Smallest subgroup containing gens (elements or coordinate vectors)."""
     return Subgroup(G, gens)
-
-
-def _subgroup_structure(H: Subgroup):
-    G, B = H.parent, H.hnf
-    # H = L/diag(d)Z^k for the lattice L with basis B: in B's coordinates it
-    # is Z^k modulo the relations d_i e_i, each written by back-substitution
-    C = [_hermite_coordinates(B, row) for row in diagonal_matrix(G.invariant_factors)]
-    if None in C:
-        raise AssertionError("subgroup lattice does not contain the relations")
-    P = Quotient(C)
-
-    def to_parent(el: GroupElement) -> GroupElement:
-        y = P.lift(el)
-        return G.element(sum(c * x for c, x in zip(y, col)) for col in zip(*B))
-
-    def from_parent(g: GroupElement) -> GroupElement:
-        y = _hermite_coordinates(B, g.coords) if g.group == G else None
-        if y is None:
-            raise ValueError("element not in the subgroup")
-        return P.image(y)
-
-    return P.group, to_parent, from_parent
 
 
 class Quotient:

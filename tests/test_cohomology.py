@@ -97,6 +97,7 @@ class TestHerbrand:
         assert herbrand_quotient(FiniteGammaModule(FiniteAbelianGroup((3,)), ((1,),), 3)) == 1
         assert herbrand_quotient(FiniteGammaModule(FiniteAbelianGroup((4,)), ((-1,),), 2)) == 1
         assert herbrand_quotient(FiniteGammaModule(FiniteAbelianGroup((3,)), ((1,),), 2)) == Fraction(1)
+        assert type(herbrand_quotient(FiniteGammaModule(FiniteAbelianGroup((3,)), ((2,),), 2))) is int
 
     def test_always_one_randomized(self):
         rng = random.Random(31)

@@ -394,12 +394,20 @@ INTEGER_INPUTS = [
     ("table order", ValueError, lambda v: LevelOrderTable({0: 1, 1: v}), 2),
     ("omega level", ValueError, lambda v: omega_poly(3, v), 1),
     ("element coordinate", ValueError, lambda v: C3.element([v]), 1),
+    ("GroupElement coordinate", ValueError, lambda v: GroupElement(C3, (v,)), 1),
     ("subgroup generator coordinate", ValueError, lambda v: subgroup_generated(C3, [[v]]), 1),
     # unit_group(15) is cached first: an untyped cache would answer 15.0 with it
     ("unit group modulus", FieldError, unit_group, 15),
     ("character coefficient", ValueError, lambda v: AbsChar(C3, (v,)), 1),
     ("multiplicity", ValueError, lambda v: VirtualChar(C3, {AbsChar(C3, (1,)): v}), 1),
     ("lambda base multiplicity", ValueError, lambda v: LambdaExpr({BaseSymbol.LAMBDA_REAL: v}, VirtualChar.zero(C3)), 1),
+    ("crt residue", ValueError, lambda v: crt([v], [7]), 1),
+    ("crt modulus", ValueError, lambda v: crt([1], [v]), 7),
+    ("valuation argument", ValueError, lambda v: valuation(v, 3), 9),
+    ("valuation prime", ValueError, lambda v: valuation(9, v), 3),
+    ("mult_order unit", ValueError, lambda v: mult_order(v, 7), 2),
+    ("mult_order modulus", ValueError, lambda v: mult_order(2, v), 7),
+    ("smith_normal_form entry", ValueError, lambda v: smith_normal_form([[2, 0], [0, v]]), 3),
 ]
 
 

@@ -9,11 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iwalambda import groups
-from iwalambda.characters import AbsChar, all_abs_chars
+from iwalambda.characters import AbsChar, all_abs_chars, induce_trivial
 from iwalambda.errors import FieldError, ScaleError
 from iwalambda.exact import _hermite_coordinates, euler_phi, factorize, hermite_normal_form
 from iwalambda.groups import (
-    FiniteAbelianGroup, Subgroup, quotient, subgroup_generated, unit_group,
+    FiniteAbelianGroup, GroupElement, quotient, subgroup_generated, unit_group,
 )
 from oracles import CHAINS, all_subgroups, closure, generator_sets, group_order_census, unit_order_census
 
@@ -189,6 +189,27 @@ def test_invariant_factor_validation():
     assert FiniteAbelianGroup(()).exponent == 1
 
 
+def test_group_element_is_checked_and_reduced():
+    # non-int coordinates: tests/test_exact.py::test_only_an_int_enters_the_integer_layers
+    G = FiniteAbelianGroup((3,))
+    assert GroupElement(G, (7,)) == G.element([7]) and GroupElement(G, (7,)).coords == (1,)
+    assert GroupElement(G, [2]).coords == (2,)
+    for coords in [(), (1, 2)]:
+        with pytest.raises(ValueError, match="does not match the group rank"):
+            GroupElement(G, coords)
+
+
+def test_subgroup_holds_only_its_generators_and_hermite_form():
+    G = unit_group(65).group
+    H = subgroup_generated(G, [G.basis()[0]])
+    assert H.order and G.identity() in H and G.basis()[-1] not in H
+    H.as_group()
+    assert len(H.elements) == H.order
+    quotient(G, H)
+    induce_trivial(G, H)
+    assert vars(H).keys() == {"parent", "generators", "hnf"}
+
+
 def test_element_order():
     G = FiniteAbelianGroup((2, 4))
     assert G.element((1, 2)).order() == 2
@@ -300,7 +321,6 @@ class TestLattice:
         def no_quotient(*args):
             raise AssertionError("a subgroup built a quotient")
 
-        monkeypatch.setattr(Subgroup, "quotient", no_quotient)
         monkeypatch.setattr(groups, "quotient", no_quotient)
         for H, members in built:
             assert H.order == len(members)
