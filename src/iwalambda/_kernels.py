@@ -2,8 +2,10 @@
 
 The hot loop of the whole package is the elementary-divisor reduction of
 an integer matrix over Z/ell^n (a chain ring, so valuation-pivot Gaussian
-elimination is a complete algorithm).  It is plain Python with no
-dependencies; BACKEND names it for benchmark records.
+elimination is a complete algorithm).  Only rows are deleted: a pivot's
+column is exactly 0 in every other row after its elimination, so no
+column is ever moved.  It is plain Python with no dependencies; BACKEND
+names it for benchmark records.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ def snf_mod_valuations(rows: list[list[int]], ell: int, n: int) -> list[int]:
     vmin = 0
     start = 0
     powers = [ell**k for k in range(n + 1)]
-    while a and a[0] and vmin < n:
+    while a and vmin < n:
         # find a pivot of least valuation; valuations of the minor never
         # drop below the previous pivot's, so the scan resumes at vmin.
         # The rows are searched from start, where the last pivot row was
@@ -70,13 +72,12 @@ def snf_mod_valuations(rows: list[list[int]], ell: int, n: int) -> list[int]:
             if b:
                 f = (b // pv) * uinv % qv
                 a[i] = [(x - f * y) % q for x, y in zip(row, pivot_row)]
-        # the pivot column is now a*e_pr; column ops clearing the pivot row
-        # touch no other row, so dropping row and column is exact
+        # the pivot column is now 0 in every other row (b = ell^v b' and
+        # u*uinv = 1 mod ell^(n-v) give b - f*pivot = 0 mod q; an untouched
+        # row had b = 0), and column ops clearing the pivot row touch no
+        # other row, so dropping the row is exact; the search skips the zeros
         del a[pr]
         start = pr
-        for row in a:
-            row[pc] = row[-1]
-            row.pop()
         vals.append(vmin)
     vals.extend([n] * (len(rows) - len(vals)))
     return vals

@@ -61,10 +61,7 @@ class FiniteGammaModule(Record):
     def apply(self, g: GroupElement) -> GroupElement:
         if g.group != self.module:
             raise ValueError("element of a different module")
-        return self.module.element(
-            sum(self.sigma[i][j] * g.coords[j] for j in range(self.module.rank))
-            for i in range(self.module.rank)
-        )
+        return GroupElement(self.module, (sum(s * c for s, c in zip(row, g.coords)) for row in self.sigma))
 
     def norm_matrix(self) -> list[list[int]]:
         """1 + sigma + ... + sigma^(order_n - 1), row i reduced mod d_i."""
@@ -130,7 +127,7 @@ def herbrand_quotient(M: FiniteGammaModule) -> int:
 
 def stable_submodule(M: FiniteGammaModule, gens) -> tuple[FiniteGammaModule, Subgroup]:
     """Smallest sigma-stable submodule containing gens, as its own module."""
-    gens = [g if isinstance(g, GroupElement) else M.module.element(g) for g in gens]
+    gens = [g if isinstance(g, GroupElement) else GroupElement(M.module, g) for g in gens]
     closed = []
     for g in gens:
         closed.append(g)

@@ -74,9 +74,6 @@ class FiniteAbelianGroup(Record):
         """The unit coordinate vectors, one generator of order d_i each."""
         return [GroupElement(self, row) for row in identity_matrix(self.rank)]
 
-    def element(self, coords) -> "GroupElement":
-        return GroupElement(self, coords)
-
     def elements(self):
         """All elements, lexicographic by coordinates (the canonical order)."""
         for coords in itertools.product(*(range(d) for d in self.invariant_factors)):
@@ -101,16 +98,16 @@ class GroupElement(Record):
 
     def __add__(self, other: "GroupElement") -> "GroupElement":
         self._check(other)
-        return self.group.element(a + b for a, b in zip(self.coords, other.coords))
+        return GroupElement(self.group, (a + b for a, b in zip(self.coords, other.coords)))
 
     def __neg__(self) -> "GroupElement":
-        return self.group.element(-a for a in self.coords)
+        return GroupElement(self.group, (-a for a in self.coords))
 
     def __sub__(self, other: "GroupElement") -> "GroupElement":
         return self + (-other)
 
     def __mul__(self, k: int) -> "GroupElement":
-        return self.group.element(a * k for a in self.coords)
+        return GroupElement(self.group, (a * k for a in self.coords))
 
     __rmul__ = __mul__
 
@@ -133,7 +130,7 @@ class Subgroup:
     and keep nothing; elements lists the subgroup only when asked."""
 
     def __init__(self, parent: FiniteAbelianGroup, generators):
-        gens = tuple(g if isinstance(g, GroupElement) else parent.element(g) for g in generators)
+        gens = tuple(g if isinstance(g, GroupElement) else GroupElement(parent, g) for g in generators)
         if any(g.group != parent for g in gens):
             raise ValueError("generator does not belong to the group")
         self.parent = parent
@@ -173,7 +170,7 @@ class Subgroup:
 
         def to_parent(el: GroupElement) -> GroupElement:
             y = P.lift(el)
-            return G.element(sum(c * x for c, x in zip(y, col)) for col in zip(*B))
+            return GroupElement(G, (sum(c * x for c, x in zip(y, col)) for col in zip(*B)))
 
         def from_parent(g: GroupElement) -> GroupElement:
             y = _hermite_coordinates(B, g.coords) if g.group == G else None
@@ -208,7 +205,7 @@ class Quotient:
 
     def image(self, x) -> GroupElement:
         """The class of the integer vector x."""
-        return self.group.element(sum(u * c for u, c in zip(self._U[i], x)) for i in self._slots)
+        return GroupElement(self.group, (sum(u * c for u, c in zip(self._U[i], x)) for i in self._slots))
 
     def lift(self, q: GroupElement) -> list[int]:
         """An integer vector in the class q."""
@@ -223,7 +220,7 @@ class Quotient:
 
     def section(self, q: GroupElement) -> GroupElement:
         """Any preimage of q under the projection."""
-        return self.source.element(self.lift(q))
+        return GroupElement(self.source, self.lift(q))
 
 
 def quotient(G: FiniteAbelianGroup, H: Subgroup) -> Quotient:

@@ -16,7 +16,7 @@ from iwalambda.characters import LadicChar, VirtualChar, all_abs_chars, parity_o
 from iwalambda.cohomology import FiniteGammaModule
 from iwalambda.errors import FieldError, ScaleError
 from iwalambda.exact import euler_phi, smith_normal_form
-from iwalambda.groups import FiniteAbelianGroup, Subgroup, subgroup_generated
+from iwalambda.groups import FiniteAbelianGroup, GroupElement, Subgroup, subgroup_generated
 from iwalambda.iwasawa import FitParameters, LevelOrderTable
 from iwalambda.splitting import decomposition_data
 
@@ -119,7 +119,7 @@ def group_order_census(G: FiniteAbelianGroup) -> dict[int, int]:
 def closure(G: FiniteAbelianGroup, gens) -> frozenset[tuple[int, ...]]:
     """Coordinates of every element of the subgroup gens generate, by
     adding generators to the elements found until nothing new appears."""
-    gens = [G.element(g.coords if hasattr(g, "coords") else g) for g in gens]
+    gens = [GroupElement(G, g.coords if hasattr(g, "coords") else g) for g in gens]
     seen = {G.identity().coords}
     frontier = [G.identity()]
     while frontier:

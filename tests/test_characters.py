@@ -26,7 +26,7 @@ from iwalambda.characters import (
 from iwalambda.defect import ladic_chars_of
 from iwalambda.errors import FieldError
 from iwalambda.fields import FieldSpec, field_spec
-from iwalambda.groups import FiniteAbelianGroup, subgroup_generated
+from iwalambda.groups import FiniteAbelianGroup, GroupElement, subgroup_generated
 from oracles import (
     CHAINS,
     PROPERTY_FIELDS,
@@ -247,7 +247,7 @@ class TestTeichmuller:
         fixed = [a for a in range(1, 15) if a % 3 and a % 5 and om.rep.value_at(F.delta_element(a)) == 0]
         assert fixed == [1, 4, 7, 13]
         # omega has order ell - 1 = 2 (its coefficient vector does, in the dual)
-        assert F.delta.element(om.rep.coeffs).order() == 2
+        assert GroupElement(F.delta, om.rep.coeffs).order() == 2
         e = F.delta.exponent
         assert om.rep.value_at(F.tau_bar) == e // 2
 

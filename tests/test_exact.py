@@ -393,7 +393,7 @@ INTEGER_INPUTS = [
     ("table level", ValueError, lambda v: LevelOrderTable({v: 1}), 0),
     ("table order", ValueError, lambda v: LevelOrderTable({0: 1, 1: v}), 2),
     ("omega level", ValueError, lambda v: omega_poly(3, v), 1),
-    ("element coordinate", ValueError, lambda v: C3.element([v]), 1),
+    ("element coordinate", ValueError, lambda v: GroupElement(C3, [v]), 1),
     ("GroupElement coordinate", ValueError, lambda v: GroupElement(C3, (v,)), 1),
     ("subgroup generator coordinate", ValueError, lambda v: subgroup_generated(C3, [[v]]), 1),
     # unit_group(15) is cached first: an untyped cache would answer 15.0 with it

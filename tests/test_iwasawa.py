@@ -244,15 +244,22 @@ class TestDualConstruction:
 
     def test_kernel_matches_integer_smith_form(self):
         # small entries; entries far outside [0, ell^n) (+-k ell^n + r, up to
-        # 10^6); small entries mixed with exact multiples of ell^n; and tuple
-        # rows.  The kernel copies its argument and must leave it as it was
+        # 10^6); small entries mixed with exact multiples of ell^n; tuple
+        # rows; and non-square shapes up to 10 x 10, tall and wide, with a
+        # zero or a repeated column, so that pivoted columns are searched
+        # again as zeros and rows are left once every column is pivoted.
+        # The kernel copies its argument and must leave it as it was
         rng = random.Random(22)
-        for draw in range(160):
-            kind = draw % 4
+        for draw in range(200):
+            kind = draw % 5
             ell = rng.choice([3, 5])
             n = rng.randint(0, 4)
             q = ell**n
-            ncols = rng.randint(1, 6)
+            nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
+            if kind == 4:
+                nrows, ncols = sorted(rng.sample(range(1, 11), 2))
+                if draw % 10 == 4:
+                    nrows, ncols = ncols, nrows
 
             def entry():
                 if kind == 1:
@@ -260,9 +267,15 @@ class TestDualConstruction:
                     return rng.choice([-1, 1]) * k * q + rng.randint(-q + 1, q - 1)
                 if kind == 2 and rng.random() < 0.5:
                     return rng.choice([-1, 1]) * q * rng.choice([1, ell, 10**4])
+                if kind == 4:
+                    return ell ** rng.randint(0, 2) * rng.randint(-9, 9)
                 return rng.randint(-50, 50)
 
-            rows = [[entry() for _ in range(ncols)] for _ in range(rng.randint(1, 6))]
+            rows = [[entry() for _ in range(ncols)] for _ in range(nrows)]
+            if kind == 4:
+                j, k = rng.sample(range(ncols), 2) if ncols > 1 else (0, 0)
+                for r in rows:
+                    r[j] = r[k] if j != k and draw % 20 < 10 else 0
             arg = [tuple(r) for r in rows] if kind == 3 else [r[:] for r in rows]
             before = [tuple(r) for r in arg]
             a = snf_mod_valuations(arg, ell, n)
