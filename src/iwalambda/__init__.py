@@ -54,7 +54,6 @@ _EXPORTS_BY_MODULE = {
         "lambda_shift_real_oracle",
         "lambda_wild",
         "reflection_check",
-        "s_phi",
     ),
     "errors": (
         "FieldError",

@@ -127,22 +127,15 @@ def _validate_tame(field: FieldSpec, S) -> tuple[int, ...]:
     return S
 
 
-def s_phi(field: FieldSpec, S, phi: LadicChar) -> tuple[int, ...]:
-    """The primes of S whose full decomposition subgroup dies in phi.
+def _s_phi(field: FieldSpec, S: tuple[int, ...], phi: LadicChar) -> tuple[int, ...]:
+    """The primes of S, already validated as tame, whose full decomposition
+    subgroup dies in phi, a character of field.delta.
 
     A character dies on Delta_p exactly when it occurs in Ind_{Delta_p} 1,
     which decomposition_data keeps per (field, p), so this reads one
     multiplicity per prime.  Orbit members share kernels (ell is prime to
     |Delta|), so the canonical representative decides for the orbit.
     """
-    S = _validate_tame(field, S)
-    if S and phi.group != field.delta:
-        raise ValueError("element of a different group")
-    return _s_phi(field, S, phi)
-
-
-def _s_phi(field: FieldSpec, S: tuple[int, ...], phi: LadicChar) -> tuple[int, ...]:
-    """s_phi for an S already validated and a phi of field.delta."""
     return tuple(p for p in S if decomposition_data(field, p).induced_trivial.multiplicity(phi.rep))
 
 

@@ -106,11 +106,6 @@ class GroupElement(Record):
     def __sub__(self, other: "GroupElement") -> "GroupElement":
         return self + (-other)
 
-    def __mul__(self, k: int) -> "GroupElement":
-        return GroupElement(self.group, (a * k for a in self.coords))
-
-    __rmul__ = __mul__
-
     @property
     def is_identity(self) -> bool:
         return all(c == 0 for c in self.coords)

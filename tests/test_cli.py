@@ -56,7 +56,7 @@ class TestParsePoly:
 
 class TestChars:
     def test_conductor_3(self):
-        rc, out, _ = run_cli("chars", "--ell", "3", "--conductor", "3")
+        rc, out, _ = run_inprocess(["chars", "--ell", "3", "--conductor", "3"])
         assert rc == 0
         data = json.loads(out)
         assert data["schema"] == "iwalambda/1"
@@ -65,16 +65,16 @@ class TestChars:
         assert chars[0]["mirror"] == "omega" and chars[1]["mirror"] == "one"
 
     def test_conductor_15(self):
-        rc, out, _ = run_cli("chars", "--ell", "3", "--conductor", "15")
+        rc, out, _ = run_inprocess(["chars", "--ell", "3", "--conductor", "15"])
         data = json.loads(out)
         assert sorted(c["degree"] for c in data["result"]["characters"]) == [1, 1, 1, 1, 2, 2]
 
     def test_invalid_field(self):
-        rc, _, err = run_cli("chars", "--ell", "3", "--conductor", "9")
+        rc, _, err = run_inprocess(["chars", "--ell", "3", "--conductor", "9"])
         assert rc == 2 and "group order" in err
 
     def test_conductor_over_cap_is_scale_error(self):
-        rc, out, err = run_cli("chars", "--ell", "3", "--conductor", "120003")
+        rc, out, err = run_inprocess(["chars", "--ell", "3", "--conductor", "120003"])
         assert rc == 4 and out == ""
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0] == "error: conductor too large"
@@ -97,7 +97,7 @@ class TestChars:
 
     @pytest.mark.parametrize("m", [165, 2805])
     def test_mirror_labels_name_the_orbit_of_omega_over_rep(self, m):
-        rc, out, _ = run_cli("chars", "--ell", "3", "--conductor", str(m))
+        rc, out, _ = run_inprocess(["chars", "--ell", "3", "--conductor", str(m)])
         assert rc == 0
         data = json.loads(out)
         ell, d = data["field"]["ell"], data["field"]["delta"]
@@ -128,32 +128,32 @@ class TestChars:
 
 class TestDefect:
     def test_example_with_verify(self):
-        rc, out, _ = run_cli(
+        rc, out, _ = run_inprocess([
             "defect", "--ell", "3", "--conductor", "3", "--primes", "7,13", "--verify"
-        )
+        ])
         data = json.loads(out)
         assert rc == 0
         assert data["result"] == {"omega": 1}
         assert data["oracle_checked"] is True
 
     def test_no_verify_flag(self):
-        rc, out, _ = run_cli("defect", "--ell", "3", "--conductor", "3", "--primes", "7,13")
+        rc, out, _ = run_inprocess(["defect", "--ell", "3", "--conductor", "3", "--primes", "7,13"])
         assert json.loads(out)["oracle_checked"] is False
 
     def test_duplicate_primes(self):
-        rc, _, err = run_cli("defect", "--ell", "3", "--conductor", "3", "--primes", "7,7")
+        rc, _, err = run_inprocess(["defect", "--ell", "3", "--conductor", "3", "--primes", "7,7"])
         assert rc == 3
 
     def test_wild_prime_rejected(self):
-        rc, _, _ = run_cli("defect", "--ell", "3", "--conductor", "3", "--primes", "3,7")
+        rc, _, _ = run_inprocess(["defect", "--ell", "3", "--conductor", "3", "--primes", "3,7"])
         assert rc == 3
 
 
 class TestLambda:
     def test_real_with_imo(self):
-        rc, out, _ = run_cli(
+        rc, out, _ = run_inprocess([
             "lambda", "--ell", "3", "--conductor", "3", "--primes", "7,13", "--parity", "real", "--verify"
-        )
+        ])
         data = json.loads(out)
         assert data["result"]["base"] == {"lambda_real": 1}
         assert data["result"]["shift"] == {"one": 1}
@@ -161,22 +161,22 @@ class TestLambda:
         assert data["oracle_checked"] is True
 
     def test_imaginary_empty_warns(self):
-        rc, out, err = run_cli(
+        rc, out, err = run_inprocess([
             "lambda", "--ell", "3", "--conductor", "3", "--primes", "", "--parity", "imaginary"
-        )
+        ])
         assert rc == 0 and "warning" in err
         assert json.loads(out)["result"]["shift"] == {"omega": -1}
 
     def test_imaginary_empty_on_rejected_field_gives_only_the_error(self):
         # the S = {} warning waits for the field checks
-        rc, out, err = run_cli(
+        rc, out, err = run_inprocess([
             "lambda", "--ell", "5", "--conductor", "5", "--subgroup", "4", "--primes", "", "--parity", "imaginary"
-        )
+        ])
         assert rc == 2 and out == ""
         assert err == "error: field does not contain ell-th roots of unity\n"
 
     def test_wild_needs_ell(self):
-        rc, _, _ = run_cli("lambda", "--ell", "3", "--conductor", "3", "--primes", "7", "--parity", "wild")
+        rc, _, _ = run_inprocess(["lambda", "--ell", "3", "--conductor", "3", "--primes", "7", "--parity", "wild"])
         assert rc == 3
 
     def test_verify_deep_splitting_prime(self):
@@ -207,24 +207,24 @@ class TestLambda:
 
 class TestReflect:
     def test_example(self):
-        rc, out, _ = run_cli("reflect", "--ell", "3", "--conductor", "3", "--S", "3", "--T", "7")
+        rc, out, _ = run_inprocess(["reflect", "--ell", "3", "--conductor", "3", "--S", "3", "--T", "7"])
         data = json.loads(out)
         assert data["result"]["identity_holds"] is True
         assert data["result"]["case"] == "wild_mirror"
 
     def test_special_case(self):
-        rc, out, _ = run_cli("reflect", "--ell", "3", "--conductor", "3", "--S", "3", "--T", "")
+        rc, out, _ = run_inprocess(["reflect", "--ell", "3", "--conductor", "3", "--S", "3", "--T", ""])
         data = json.loads(out)
         assert data["result"]["identity_holds"] is True
         assert data["result"]["case"] == "special"
         assert data["result"]["kappa"] == {"one": -1}
 
     def test_bad_hypotheses(self):
-        rc, _, _ = run_cli("reflect", "--ell", "3", "--conductor", "3", "--S", "7", "--T", "13")
+        rc, _, _ = run_inprocess(["reflect", "--ell", "3", "--conductor", "3", "--S", "7", "--T", "13"])
         assert rc == 3
 
     def test_duplicate_in_T_names_the_prime(self):
-        rc, out, err = run_cli("reflect", "--ell", "3", "--conductor", "15", "--S", "3", "--T", "7,7")
+        rc, out, err = run_inprocess(["reflect", "--ell", "3", "--conductor", "15", "--S", "3", "--T", "7,7"])
         assert rc == 3 and out == ""
         assert err == "error: 7 is repeated: a prime list must be a set\n"
 
@@ -245,15 +245,15 @@ class TestReflect:
 
 class TestSimulate:
     def test_example(self):
-        rc, out, _ = run_cli("simulate", "--ell", "3", "--rho", "0", "--poly", "T", "--n", "3")
+        rc, out, _ = run_inprocess(["simulate", "--ell", "3", "--rho", "0", "--poly", "T", "--n", "3"])
         data = json.loads(out)
         assert data["result"]["orders"] == [0, 1, 2, 3]
         assert data["result"]["fit"] == {"rho": 0, "mu": 0, "lambda": 1, "nu": 0}
 
     def test_verify_runs_lattice_oracle(self):
-        rc, out, _ = run_cli(
+        rc, out, _ = run_inprocess([
             "simulate", "--ell", "3", "--poly", "T^2+3", "--n", "3", "--n-min", "1", "--verify"
-        )
+        ])
         data = json.loads(out)
         assert rc == 0 and data["oracle_checked"] is True
 
@@ -272,11 +272,11 @@ class TestSimulate:
         assert (rc, out, err) == (1, "", "internal check failed: relation-lattice construction disagrees\n")
 
     def test_unstable_reported(self):
-        rc, out, _ = run_cli("simulate", "--ell", "3", "--mu", "2", "--n", "5", "--n-min", "1")
+        rc, out, _ = run_inprocess(["simulate", "--ell", "3", "--mu", "2", "--n", "5", "--n-min", "1"])
         assert json.loads(out)["result"]["fit"] == "not yet stable"
 
     def test_scale_exceeded(self):
-        rc, out, err = run_cli("simulate", "--ell", "3", "--poly", "T", "--n", "6")
+        rc, out, err = run_inprocess(["simulate", "--ell", "3", "--poly", "T", "--n", "6"])
         assert (rc, out, err) == (4, "", "error: ell^n = 729 exceeds the matrix dimension cap 250\n")
 
     @pytest.mark.parametrize("poly, message", [
@@ -303,24 +303,24 @@ class TestSimulate:
         assert (rc, err) == (0, "") and json.loads(out)["oracle_checked"] is True
 
     def test_bad_poly_rejected(self):
-        rc, _, err = run_cli("simulate", "--ell", "3", "--poly", "T+1", "--n", "3")
+        rc, _, err = run_inprocess(["simulate", "--ell", "3", "--poly", "T+1", "--n", "3"])
         assert rc == 1 and "divisible" in err
 
 
 class TestAmbigAndCohomology:
     def test_ambig(self):
-        rc, out, _ = run_cli("ambig", "--class-val", "1", "--ram", "1,1", "--deg", "1", "--unit-index", "1")
+        rc, out, _ = run_inprocess(["ambig", "--class-val", "1", "--ram", "1,1", "--deg", "1", "--unit-index", "1"])
         assert json.loads(out)["result"]["valuation"] == 1
 
     def test_ambig_inconsistent(self):
-        rc, _, err = run_cli("ambig", "--class-val", "0", "--ram", "", "--deg", "1")
+        rc, _, err = run_inprocess(["ambig", "--class-val", "0", "--ram", "", "--deg", "1"])
         assert rc == 5 and "inconsistent" in err
 
     def test_ambig_rejects_verify(self, tmp_path):
         # a formula over given valuations: there is no oracle for --verify to run
         argv = ["ambig", "--class-val", "1", "--ram", "1,1", "--deg", "1", "--unit-index", "1"]
         rejected = (1, "", "error: unrecognized arguments: --verify\n")
-        assert run_cli(*argv, "--verify") == rejected
+        assert run_inprocess([*argv, "--verify"]) == rejected
         cfg = tmp_path / "job.cfg"
         cfg.write_text("verify = true\n")
         assert run_inprocess([*argv, "--config", str(cfg)]) == rejected
@@ -328,11 +328,11 @@ class TestAmbigAndCohomology:
         assert run_inprocess([*argv, "--config", str(cfg)]) == run_inprocess(argv)
 
     def test_cohomology(self):
-        rc, out, _ = run_cli("cohomology", "--factors", "4", "--sigma", "-1", "--order", "2")
+        rc, out, _ = run_inprocess(["cohomology", "--factors", "4", "--sigma", "-1", "--order", "2"])
         assert json.loads(out)["result"] == {"h0": 2, "h1": 2, "herbrand": "1"}
 
     def test_cohomology_matrix(self):
-        rc, out, _ = run_cli("cohomology", "--factors", "3,3", "--sigma", "0,1;1,0", "--order", "2")
+        rc, out, _ = run_inprocess(["cohomology", "--factors", "3,3", "--sigma", "0,1;1,0", "--order", "2"])
         data = json.loads(out)
         assert rc == 0 and data["result"]["herbrand"] == "1"
 
@@ -351,7 +351,7 @@ class TestAmbigAndCohomology:
         assert len(calls) == 3
 
     def test_actor_order_10_to_the_12(self):
-        rc, out, err = run_cli("cohomology", "--factors", "3", "--sigma=2", "--order", "1000000000000")
+        rc, out, err = run_inprocess(["cohomology", "--factors", "3", "--sigma=2", "--order", "1000000000000"])
         assert (rc, err) == (0, "")
         assert json.loads(out)["result"] == {"h0": 1, "h1": 1, "herbrand": "1"}
 
@@ -414,7 +414,7 @@ class TestReflectVerify:
 class TestSimulateDigitLimit:
     @pytest.mark.parametrize("levels", [("--n", "9100", "--n-min", "9097"), ("--n", "1000000000")])
     def test_orders_past_the_int_str_limit_exit_4(self, levels):
-        rc, out, err = run_cli("simulate", "--ell", "3", "--mu", "1", *levels)
+        rc, out, err = run_inprocess(["simulate", "--ell", "3", "--mu", "1", *levels])
         assert (rc, out, err) == (4, "", "error: ell^n has more than 4300 digits\n")
 
     def test_polynomial_modulus_past_the_limit_exit_4(self):
@@ -432,7 +432,7 @@ class TestSimulateDigitLimit:
         assert json.loads(out)["result"]["fit"] == {"rho": 0, "mu": 0, "lambda": 3, "nu": 0}
 
     def test_orders_inside_the_limit(self):
-        rc, out, err = run_cli("simulate", "--ell", "3", "--mu", "1", "--n", "9010", "--n-min", "9009")
+        rc, out, err = run_inprocess(["simulate", "--ell", "3", "--mu", "1", "--n", "9010", "--n-min", "9009"])
         assert (rc, err) == (0, "")
         assert json.loads(out)["result"]["orders"][-1] == 3**9010
 
@@ -481,7 +481,7 @@ class TestMalformedIntegerLists:
         ],
     )
     def test_exit_1_with_one_error_line(self, argv):
-        rc, out, err = run_cli(*argv)
+        rc, out, err = run_inprocess([*argv])
         assert rc == 1 and out == ""
         assert "Traceback" not in err
         lines = err.splitlines()
@@ -501,7 +501,7 @@ class TestOutOfRangeArguments:
         ],
     )
     def test_exit_1_with_one_error_line(self, argv, message):
-        rc, out, err = run_cli(*argv)
+        rc, out, err = run_inprocess([*argv])
         assert rc == 1 and out == ""
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0]
@@ -599,7 +599,7 @@ class TestArgvContract:
 
 class TestUsageErrors:
     def test_usage_error_exits_1_with_one_line(self):
-        rc, out, err = run_cli("defect", "--ell", "3")
+        rc, out, err = run_inprocess(["defect", "--ell", "3"])
         assert rc == 1 and out == ""
         assert err == "error: the following arguments are required: --conductor\n"
 
@@ -628,14 +628,14 @@ class TestConfigAndFormats:
     def test_config_file(self, tmp_path):
         cfg = tmp_path / "job.cfg"
         cfg.write_text("ell = 3\nconductor = 3\nprimes = 7,13\nverify = true\n")
-        rc, out, _ = run_cli("defect", "--config", str(cfg))
+        rc, out, _ = run_inprocess(["defect", "--config", str(cfg)])
         data = json.loads(out)
         assert data["result"] == {"omega": 1} and data["oracle_checked"] is True
 
     def test_flags_override_config(self, tmp_path):
         cfg = tmp_path / "job.cfg"
         cfg.write_text("ell = 3\nconductor = 3\nprimes = 7,13\n")
-        rc, out, _ = run_cli("defect", "--config", str(cfg), "--primes", "2")
+        rc, out, _ = run_inprocess(["defect", "--config", str(cfg), "--primes", "2"])
         assert json.loads(out)["result"] == {}
 
     def test_config_value_beaten_by_full_flag_only(self, tmp_path):
@@ -664,9 +664,9 @@ class TestConfigAndFormats:
         assert err.startswith(message) and len(err.splitlines()) == 1
 
     def test_table_format(self):
-        rc, out, _ = run_cli(
+        rc, out, _ = run_inprocess([
             "defect", "--ell", "3", "--conductor", "3", "--primes", "7,13", "--format", "table"
-        )
+        ])
         assert rc == 0
         assert "result.omega" in out and "1" in out
 
@@ -727,12 +727,12 @@ class TestConfigAndFormats:
 
 class TestFieldInputs:
     def test_bad_subgroup_generator(self):
-        rc, _, err = run_cli("chars", "--ell", "3", "--conductor", "15", "--subgroup", "5")
+        rc, _, err = run_inprocess(["chars", "--ell", "3", "--conductor", "15", "--subgroup", "5"])
         assert rc == 2 and "not a unit" in err
 
     def test_nontrivial_subgroup(self):
         # K = fixed field of <4> inside Q(zeta_15): degree 4, still has mu_3
-        rc, out, _ = run_cli("chars", "--ell", "3", "--conductor", "15", "--subgroup", "4")
+        rc, out, _ = run_inprocess(["chars", "--ell", "3", "--conductor", "15", "--subgroup", "4"])
         data = json.loads(out)
         assert rc == 0
         assert data["field"]["subgroup"] == [4]
@@ -740,16 +740,16 @@ class TestFieldInputs:
 
     def test_conductor_below_two(self):
         for m in ("0", "-3"):
-            rc, _, err = run_cli("chars", "--ell", "3", "--conductor", m)
+            rc, _, err = run_inprocess(["chars", "--ell", "3", "--conductor", m])
             assert rc == 2 and err == "error: conductor must be at least 2\n"
 
     def test_conductor_below_two_with_subgroup(self):
         # the residues of H are not reduced mod 0
-        rc, out, err = run_cli("chars", "--ell", "3", "--conductor", "0", "--subgroup", "4")
+        rc, out, err = run_inprocess(["chars", "--ell", "3", "--conductor", "0", "--subgroup", "4"])
         assert rc == 2 and out == "" and err == "error: conductor must be at least 2\n"
 
     def test_conductor_not_divisible(self):
-        rc, _, err = run_cli("chars", "--ell", "3", "--conductor", "10")
+        rc, _, err = run_inprocess(["chars", "--ell", "3", "--conductor", "10"])
         assert rc == 2 and "divisible" in err
 
     def test_large_subgroup_is_never_enumerated(self, monkeypatch):

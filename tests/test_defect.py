@@ -14,6 +14,7 @@ from iwalambda.defect import (
     BaseSymbol,
     CaseTag,
     LambdaExpr,
+    _s_phi,
     defect_character,
     defect_oracle,
     imaginary_chars_of,
@@ -27,7 +28,6 @@ from iwalambda.defect import (
     mirror_lambda_expr,
     mirror_symbol,
     reflection_check,
-    s_phi,
 )
 from iwalambda.errors import PrimeSetError, ScaleError
 from iwalambda.fields import FieldSpec, field_spec
@@ -52,13 +52,9 @@ def omega_v(field):
 class TestSPhi:
     def test_examples(self):
         om = teichmuller(F3)
-        assert s_phi(F3, [7, 13], om) == (7, 13)
-        assert s_phi(F3, [2], om) == ()
-        assert s_phi(F3, [], om) == ()
-
-    def test_wild_rejected(self):
-        with pytest.raises(PrimeSetError, match="tame"):
-            s_phi(F3, [3, 7], teichmuller(F3))
+        assert _s_phi(F3, validate_prime_set([7, 13]), om) == (7, 13)
+        assert _s_phi(F3, validate_prime_set([2]), om) == ()
+        assert _s_phi(F3, validate_prime_set([]), om) == ()
 
     @given(
         st.sampled_from(PROPERTY_FIELDS),
@@ -68,21 +64,13 @@ class TestSPhi:
         F = field_spec(*key)
         assume(F.ell not in S)
         for phi in ladic_chars_of(F):
-            assert s_phi(F, S, phi) == s_phi_by_scan(F, S, phi), (key, S, phi.rep.coeffs)
-
-    def test_phi_of_another_field_rejected(self):
-        F15, F33 = field_spec(3, 15), field_spec(3, 33)
-        assert F15.delta != F33.delta
-        with pytest.raises(ValueError, match="element of a different group"):
-            s_phi(F15, [7], ladic_chars_of(F33)[1])
+            assert _s_phi(F, validate_prime_set(S), phi) == s_phi_by_scan(F, S, phi), (key, S, phi.rep.coeffs)
 
 
 F15 = field_spec(3, 15)
-PHI15 = imaginary_chars_of(F15)[0]
 # each public entry point that takes a prime set, fed a field F and the raw
 # list S; the wild prime 3 is added where the entry point needs it in S
 PRIME_SET_ENTRY_POINTS = {
-    "s_phi": lambda F, S: s_phi(F, S, PHI15),
     "defect_character": lambda F, S: defect_character(F, S),
     "defect_oracle": lambda F, S: defect_oracle(F, S),
     "lambda_shift_real": lambda F, S: lambda_shift_real(F, S),
@@ -98,7 +86,7 @@ PRIME_SET_ENTRY_POINTS = {
     "validate_prime_set": lambda F, S: validate_prime_set(S),
 }
 TAME_ENTRY_POINTS = (
-    "s_phi", "defect_character", "defect_oracle", "lambda_shift_real", "lambda_shift_real_oracle",
+    "defect_character", "defect_oracle", "lambda_shift_real", "lambda_shift_real_oracle",
     "lambda_shift_imaginary", "imo_lambda",
 )
 # the entry points that take one prime p
@@ -236,7 +224,7 @@ class TestDefect:
                 d = defect_character(F, S)
                 for phi in imaginary_chars_of(F):
                     comp = inner_product(d, VirtualChar.from_ladic(phi)) // phi.degree
-                    primes = s_phi(F, S, phi)
+                    primes = _s_phi(F, validate_prime_set(S), phi)
                     bound = sum(F.ell ** decomposition_data(F, p).n_p for p in primes)
                     assert 0 <= comp <= bound
 
@@ -292,6 +280,14 @@ class TestLambdaShifts:
         assert a - a.shift == LambdaExpr(a.base, VirtualChar.zero(F3.delta))
         with pytest.raises(TypeError):
             a - 1
+
+    def test_reprs(self):
+        # what a failed comparison of expressions, shifts or fields prints
+        assert repr(lambda_shift_real(F3, [7])) == "LambdaExpr(1*lambda_real, shift=VirtualChar(0))"
+        assert repr(lambda_wild(field_spec(3, 15), [3, 7])) == (
+            "LambdaExpr(1*lambda_imag_mirror + 1*lambda_real_mirror, shift=VirtualChar(1*chi(0, 0) + 1*chi(1, 0)))"
+        )
+        assert repr(field_spec(3, 15, (4,))) == "FieldSpec(ell=3, conductor=15, H=[4], delta=(2, 2))"
 
 
 class TestKappa:
@@ -443,5 +439,5 @@ def test_oracles_do_not_read_the_char_table(monkeypatch):
     assert defect == defect_character(F, S)
     assert shift == lambda_shift_real(F, S).shift
     assert chars == list(ladic_chars_of(F))
-    assert s_phis == [s_phi(F, S, phi) for phi in chars]
+    assert s_phis == [_s_phi(F, validate_prime_set(S), phi) for phi in chars]
     assert inductions == [decomposition_data(F, p).induced_trivial for p in S]
