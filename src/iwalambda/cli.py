@@ -135,7 +135,7 @@ def _int_list(text: str) -> tuple[int, ...]:
         raise IwalambdaError(f"not a comma list of integers: {text!r}") from None
 
 
-_TERM = re.compile(r"^([+-]?\d*)\*?(T(?:\^(\d+))?)?$")
+_TERM = re.compile(r"^([+-]?\d*)(?:(?<=\d)\*(?=T))?(T(?:\^(\d+))?)?$")  # "*" only between digits and T, as in 3*T
 
 
 def parse_poly(text: str) -> tuple[int, ...]:

@@ -5,8 +5,9 @@ Run from the repository root:
     PYTHONPATH=src python tests/census.py
 
 One fresh interpreter profiles the import of iwalambda.cli and the replay
-of every corpus argv (tests/cli_corpus.py), so every cache starts cold.  A
-module-level function or class method counts as reached when its code
+of every corpus argv (tests/cli_corpus.py), so every cache starts cold; this
+in-order pass is also the corpus's replay, and each line that moved is named.
+A module-level function or class method counts as reached when its code
 object ran; nested functions, lambdas and comprehensions count with their
 parent.  Each def is keyed as module.Qualname, with the package's
 __init__.py as "iwalambda", and its code object is found by name and by
@@ -17,9 +18,9 @@ tests/data/unreached_defs.txt lists each def the corpus does not reach,
 one sorted line each: "module.Qualname  kept_for".  kept_for is a test
 node "tests/<file>.py::Class::name" (or "tests/<file>.py::name") that
 exists, or a perfbench/*.py file that mentions the def's name.  The script
-prints each disagreement and exits 1: a def unreached and unlisted, a
-listed def that is reached or gone, or a kept_for that does not resolve.
-It writes nothing; the list is edited by hand.
+prints each disagreement and exits 1: a moved corpus line, a def unreached
+and unlisted, a listed def that is reached or gone, or a kept_for that does
+not resolve.  It writes nothing; the list is edited by hand.
 """
 
 from __future__ import annotations
@@ -118,6 +119,14 @@ def problems(defs: set[str], reached: set[str], listed: dict[str, str], root: pa
     return found
 
 
+def moved(committed: list[dict], replayed: list[dict]) -> list[str]:
+    """One line per committed corpus line that the replay did not reproduce,
+    or one line alone when the two list different argvs."""
+    if [line["argv"] for line in committed] != [line["argv"] for line in replayed]:
+        return ["the corpus file does not list the corpus argvs in order: regenerate it (tests/cli_corpus.py)"]
+    return [f"moved from the corpus: {' '.join(got['argv'])}" for want, got in zip(committed, replayed) if want != got]
+
+
 def main() -> int:
     argvs = cli_corpus.corpus_argvs()
     start = time.perf_counter()
@@ -125,8 +134,7 @@ def main() -> int:
     profile.enable()
     import iwalambda.cli
 
-    for argv in argvs:
-        cli_corpus.run(argv)
+    replayed = [cli_corpus.run(argv) for argv in argvs]
     profile.disable()
     seconds = time.perf_counter() - start
 
@@ -143,9 +151,10 @@ def main() -> int:
             if (path, line, name) in ran:
                 reached.add(key)
 
+    corpus = moved(cli_corpus.load(), replayed)
     listed, found = read_listed(LISTED)
-    found += problems(defs, reached, listed)
-    print(f"census: {len(argvs)} argvs, {len(defs)} defs, {len(reached)} reached, "
+    found = corpus + found + problems(defs, reached, listed)
+    print(f"census: {len(argvs)} argvs, {len(corpus)} moved, {len(defs)} defs, {len(reached)} reached, "
           f"{len(listed)} listed, {seconds:.1f} s")
     for line in found:
         print(line)

@@ -8,9 +8,10 @@ The argvs are the distinct cli_cold argvs of benchmark seeds 1-3, read
 from perfbench/workloads.py (which imports nothing from iwalambda), then
 EXTRA_ARGVS.  A "{data}" token in an argv stands for tests/data, so the
 config files there are found from any working directory.  Every argv
-runs in one process through cli.main, as tests/test_cli_corpus.py
-replays them.  Regenerating the file is a reviewed act: each line whose
-digest or stderr moves needs a reason.
+runs in one process through cli.main, as the census (tests/census.py,
+in order) and tests/test_cli_corpus.py (reversed) replay them.
+Regenerating the file is a reviewed act: each line whose digest or
+stderr moves needs a reason.
 """
 
 from __future__ import annotations
@@ -132,6 +133,15 @@ EXTRA_ARGVS = [
     "simulate --ell 3 --poly T^2+3T --n 3 --format table",
     "ambig --class-val 1 --ram 1,1 --deg 1 --unit-index 1 --format table",
     "cohomology --factors 3,9 --sigma=2,0;0,4 --order 6 --format table",
+    # the argvs of acceptance criterion 8 that no line above spells; the
+    # trailing space of the reflect argv is its empty --T value
+    "defect --ell 3 --conductor 15 --primes 2,7,13 --verify",
+    "lambda --ell 3 --conductor 3 --primes 3,7 --parity wild",
+    "reflect --ell 3 --conductor 3 --S 3 --T ",
+    "reflect --ell 3 --conductor 15 --S 3,2 --T 7,13",
+    "simulate --ell 3 --poly T^2+3T --n 4 --n-min 1",
+    "ambig --class-val 1 --ram 1 --deg 1",
+    "cohomology --factors 9 --sigma 4 --order 3",
 ]
 
 
@@ -149,19 +159,20 @@ def corpus_argvs() -> list[list[str]]:
     return [list(argv) for argv in seen]
 
 
-def run(argv: list[str]) -> dict:
-    """One in-process CLI call, as a corpus line."""
+def call(argv: list[str]) -> tuple[int, str, str]:
+    """One in-process CLI call: exit code, stdout and stderr."""
     from iwalambda.cli import main
 
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main([a.replace("{data}", str(DATA)) for a in argv])
-    return {
-        "argv": list(argv),
-        "code": code,
-        "stdout_sha256": hashlib.sha256(out.getvalue().encode()).hexdigest(),
-        "stderr": err.getvalue(),
-    }
+    return code, out.getvalue(), err.getvalue()
+
+
+def run(argv: list[str]) -> dict:
+    """One in-process CLI call, as a corpus line."""
+    code, out, err = call(argv)
+    return {"argv": list(argv), "code": code, "stdout_sha256": hashlib.sha256(out.encode()).hexdigest(), "stderr": err}
 
 
 def load() -> list[dict]:

@@ -5,14 +5,14 @@ lines and timings.  Everything is exact arithmetic; the stated budgets
 are generous (the whole suite finishes well inside them).
 """
 
+import hashlib
 import itertools
 import json
 import random
-import subprocess
-import sys
 import time
 from contextlib import contextmanager
 
+import cli_corpus
 from iwalambda.characters import (
     IMAGINARY,
     REAL,
@@ -230,8 +230,11 @@ def test_criterion_7_appendix_engine():
 
 
 def test_criterion_8_cli_determinism():
-    """Byte-identical JSON across repeated runs, every subcommand covered."""
+    """Byte-identical JSON across processes, every subcommand covered: each
+    run here matches the corpus line that another process wrote (the
+    census replays it in a third)."""
     with criterion("8 CLI determinism"):
+        committed = {tuple(line["argv"]): line for line in cli_corpus.load()}
         matrix = [
             ("chars", "--ell", "3", "--conductor", "15"),
             ("chars", "--ell", "3", "--conductor", "33"),
@@ -252,14 +255,10 @@ def test_criterion_8_cli_determinism():
             ("cohomology", "--factors", "9", "--sigma", "4", "--order", "3"),
         ]
         for cmd in matrix:
-            first = subprocess.run(
-                [sys.executable, "-m", "iwalambda.cli", *cmd], capture_output=True, text=True
-            )
-            second = subprocess.run(
-                [sys.executable, "-m", "iwalambda.cli", *cmd], capture_output=True, text=True
-            )
-            assert first.returncode == 0 and second.returncode == 0, (cmd, first.stderr)
-            assert first.stdout == second.stdout, cmd
-            payload = json.loads(first.stdout)
+            code, out, err = cli_corpus.call(cmd)
+            want = committed[cmd]
+            assert (code, err) == (want["code"], want["stderr"]) == (0, ""), (cmd, err)
+            assert hashlib.sha256(out.encode()).hexdigest() == want["stdout_sha256"], cmd
+            payload = json.loads(out)
             assert payload["schema"] == "iwalambda/1"
             assert "result" in payload and "oracle_checked" in payload

@@ -18,9 +18,33 @@ def test_every_unreached_def_is_listed_with_its_reason():
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC),
     )
     assert (proc.returncode, proc.stderr) == (0, ""), proc.stdout
-    argvs, reached = map(int, re.match(r"census: (\d+) argvs, \d+ defs, (\d+) reached", proc.stdout).groups())
+    argvs, reached = map(int, re.match(r"census: (\d+) argvs, 0 moved, \d+ defs, (\d+) reached", proc.stdout).groups())
     # the replay ran: a corpus or profile that came up empty reaches nothing
     assert argvs > 600 and reached >= 150
+
+
+def corpus_line(argv, digest="0" * 64):
+    return {"argv": argv.split(" "), "code": 0, "stdout_sha256": digest, "stderr": ""}
+
+
+CORPUS = [corpus_line("chars --ell 3 --conductor 15"), corpus_line("ambig --class-val 1 --ram 1 --deg 1")]
+
+
+def test_a_reproduced_corpus_has_no_move():
+    assert census.moved(CORPUS, [dict(line) for line in CORPUS]) == []
+
+
+def test_a_line_that_moved_is_named():
+    replayed = [CORPUS[0], {**CORPUS[1], "stderr": "error: x\n"}]
+    assert census.moved(CORPUS, replayed) == ["moved from the corpus: ambig --class-val 1 --ram 1 --deg 1"]
+    replayed = [corpus_line("chars --ell 3 --conductor 15", "1" * 64), CORPUS[1]]
+    assert census.moved(CORPUS, replayed) == ["moved from the corpus: chars --ell 3 --conductor 15"]
+
+
+def test_argv_lists_that_differ_are_one_problem():
+    regenerate = ["the corpus file does not list the corpus argvs in order: regenerate it (tests/cli_corpus.py)"]
+    for replayed in (CORPUS[:1], CORPUS[::-1], CORPUS + [corpus_line("chars --ell 3 --conductor 33")]):
+        assert census.moved(CORPUS, replayed) == regenerate
 
 
 def fake_root(tmp_path):

@@ -1,7 +1,6 @@
-import contextlib
-import io
 import json
 import pathlib
+import re
 import resource
 import shlex
 import subprocess
@@ -52,6 +51,12 @@ class TestParsePoly:
     def test_garbage(self):
         with pytest.raises(ValueError):
             parse_poly("T^x")
+        # a "*" stands only between a digit string and T
+        for text, term in (("*T", "*T"), ("3*", "3*"), ("T^2+*T", "*T")):
+            with pytest.raises(iwalambda.errors.IwalambdaError, match=re.escape(f"cannot parse polynomial term {term!r}")):
+                parse_poly(text)
+        rc, out, err = run_inprocess(["simulate", "--ell", "3", "--poly", "*T", "--n", "2"])
+        assert (rc, out, err) == (1, "", "error: cannot parse polynomial term '*T'\n")
 
 
 class TestChars:
@@ -507,11 +512,7 @@ class TestOutOfRangeArguments:
         assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0]
 
 
-def run_inprocess(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        rc = main(argv)
-    return rc, out.getvalue(), err.getvalue()
+run_inprocess = cli_corpus.call  # exit code, stdout and stderr of one main(argv)
 
 
 def assert_contract(argv):
@@ -705,7 +706,7 @@ class TestConfigAndFormats:
     def test_every_table_value_is_json(self, argv):
         """Each row is a path into the JSON payload and the JSON text of the
         leaf there, and each leaf has one row."""
-        argv = [a.replace("{data}", str(cli_corpus.DATA)) for a in argv.split(" ")]
+        argv = argv.split(" ")
         rc, out, _ = run_inprocess(argv)
         assert rc == 0
         payload = json.loads(out)
@@ -788,6 +789,5 @@ class TestReadmeExamples:
         tokens = list(lexer)
         assert tokens[0] == "iwalambda"
         assert not [t for t in tokens if set(t) <= set(lexer.punctuation_chars)], tokens
-        rc, out, err = run_inprocess(tokens[1:])
-        assert (rc, err) == (0, ""), line
-        assert json.loads(out)["schema"] == "iwalambda/1"
+        # a corpus argv that exits 0 quietly; the two corpus replays run it
+        assert [(c["code"], c["stderr"]) for c in cli_corpus.load() if c["argv"] == tokens[1:]] == [(0, "")], line
