@@ -15,7 +15,7 @@ import math
 from functools import lru_cache
 
 from .errors import FieldError
-from .exact import Record, require_ints
+from .exact import Record, require_ints, require_odd_prime
 from .fields import FieldSpec
 from .groups import FiniteAbelianGroup, GroupElement, Subgroup, quotient, unit_group
 
@@ -126,10 +126,11 @@ class LadicChar(Record):
 def all_ladic_chars(delta: FiniteAbelianGroup, ell: int, tau_bar: GroupElement) -> list[LadicChar]:
     """All ell-adic irreducibles of Delta, sorted by canonical representative.
 
-    Requires gcd(ell, |Delta|) = 1 and an involutive tau_bar; then the
-    orbits partition the dual group and degrees sum to |Delta|.  For the
-    Delta of a field, char_table(field) keeps the same orbits.
+    Requires an odd prime ell prime to |Delta| and an involutive tau_bar;
+    then the orbits partition the dual group and degrees sum to |Delta|.
+    For the Delta of a field, char_table(field) keeps the same orbits.
     """
+    require_odd_prime(FieldError, ell)
     if not (tau_bar + tau_bar).is_identity:
         raise FieldError("tau_bar must square to the identity")
     if tau_bar.group != delta:

@@ -28,7 +28,7 @@ from .characters import (
     teichmuller_coeffs,
 )
 from .errors import PrimeSetError, ScaleError
-from .exact import is_prime, require_ints
+from .exact import require_ints, require_odd_prime
 from .fields import FieldSpec
 from .splitting import chi_S, decomposition_data, splitting_exponent, validate_prime_set
 
@@ -120,9 +120,9 @@ def imaginary_chars_of(field: FieldSpec) -> list[LadicChar]:
     return [phi for phi in ladic_chars_of(field) if phi.parity == IMAGINARY]
 
 
-def _validate_tame(field: FieldSpec, S) -> tuple[int, ...]:
+def _validate_tame(ell: int, S) -> tuple[int, ...]:
     S = validate_prime_set(S)
-    if field.ell in S:
+    if ell in S:
         raise PrimeSetError("S must be tame")
     return S
 
@@ -154,7 +154,7 @@ def defect_character(field: FieldSpec, S) -> VirtualChar:
     imaginary and componentwise nonnegative by construction.
     """
     field.require_mirror_valid()
-    S = _validate_tame(field, S)
+    S = _validate_tame(field.ell, S)
     mults = {}
     for phi, weights in _imaginary_s_phi_weights(field, S):
         if weights:
@@ -167,7 +167,7 @@ def _kill_counts(field: FieldSpec, S) -> dict:
     list of k_c = #{p in S that kill (chi, psi_c)} over c in Z/ell^n0, at
     the level n0 where S stops splitting."""
     field.require_mirror_valid()
-    S = _validate_tame(field, S)
+    S = _validate_tame(field.ell, S)
     data = [decomposition_data(field, p) for p in S]
     n0 = max((d.n_p for d in data), default=0)
     if n0 > ORACLE_LEVEL_CAP:
@@ -222,7 +222,7 @@ def lambda_shift_real(field: FieldSpec, S) -> LambdaExpr:
     every S_phi has at most one element.
     """
     field.require_mirror_valid()
-    S = _validate_tame(field, S)
+    S = _validate_tame(field.ell, S)
     mults = {}
     for phi, weights in _imaginary_s_phi_weights(field, S):
         if weights:
@@ -238,7 +238,7 @@ def lambda_shift_imaginary(field: FieldSpec, S) -> LambdaExpr:
     used internally by reflection_check, and the CLI warns).
     """
     field.require_mirror_valid()
-    return _lambda_shift_imaginary(field, chi_S(field, _validate_tame(field, S)))
+    return _lambda_shift_imaginary(field, chi_S(field, _validate_tame(field.ell, S)))
 
 
 def _lambda_shift_imaginary(field: FieldSpec, chi: VirtualChar) -> LambdaExpr:
@@ -371,10 +371,7 @@ def imo_lambda(ell: int, S) -> int:
     is empty.  Must match the trivial-character component of the real
     lambda shift for the conductor-ell field.
     """
-    if ell == 2 or not is_prime(ell):
-        raise PrimeSetError("ell must be an odd prime")
-    S = validate_prime_set(S)
-    if ell in S:
-        raise PrimeSetError("S must be tame")
+    require_odd_prime(PrimeSetError, ell)
+    S = _validate_tame(ell, S)
     weights = [ell ** splitting_exponent(ell, p) for p in S if p % ell == 1]
     return sum(weights) - max(weights, default=0)

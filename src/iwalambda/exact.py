@@ -111,6 +111,12 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def require_odd_prime(error: type[ValueError], ell) -> None:
+    """Raise error unless ell is an odd prime int; past is_prime's bound, ScaleError."""
+    if ell == 2 or not is_prime(ell):
+        raise error("ell must be an odd prime")
+
+
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization by trial division; fine at the scales used here."""
     if n <= 0:

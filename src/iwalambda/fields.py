@@ -14,7 +14,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import FieldError
-from .exact import is_prime, require_ints
+from .exact import require_ints, require_odd_prime
 from .groups import GroupElement, quotient, subgroup_generated, unit_group
 
 
@@ -22,8 +22,7 @@ class FieldSpec:
     """K inside Q(zeta_m), given by the conductor and generators of H."""
 
     def __init__(self, ell: int, conductor: int, subgroup_gens=()):
-        if ell == 2 or not is_prime(ell):
-            raise FieldError("ell must be an odd prime")
+        require_odd_prime(FieldError, ell)
         require_ints(FieldError, "conductor or subgroup generator", conductor, *subgroup_gens)
         if conductor % ell != 0:
             raise FieldError("conductor must be divisible by ell")

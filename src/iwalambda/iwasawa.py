@@ -23,7 +23,7 @@ from types import MappingProxyType
 
 from ._kernels import snf_mod_valuations
 from .errors import IwalambdaError, ScaleError
-from .exact import Record, diagonal_matrix, is_prime, require_ints, smith_normal_form, transpose, valuation
+from .exact import Record, diagonal_matrix, require_ints, require_odd_prime, smith_normal_form, transpose, valuation
 
 # Matrices are ell^n-dimensional; this cap admits 3^5 and 5^3 so that a
 # fit window in the stable regime exists for mu-exponents up to 2 at ell=3.
@@ -43,8 +43,7 @@ class ElementaryModuleSpec(Record):
 
     def __init__(self, ell: int, rho: int = 0, polys: tuple[tuple[int, ...], ...] = (),
                  mus: tuple[int, ...] = ()):
-        if ell == 2 or not is_prime(ell):
-            raise IwalambdaError("ell must be an odd prime")
+        require_odd_prime(IwalambdaError, ell)
         polys = tuple(map(tuple, polys))
         mus = tuple(mus)
         require_ints(IwalambdaError, "rho, coefficient or mu", rho, *(c for f in polys for c in f), *mus)
@@ -218,6 +217,7 @@ class FitParameters(Record):
     __slots__ = ("rho", "mu", "lam", "nu")
 
     def __init__(self, rho: int, mu: int, lam: int, nu: int):
+        require_ints(ValueError, "fit parameter", rho, mu, lam, nu)
         self._set_fields(rho, mu, lam, nu)
 
     def predict(self, ell: int, n: int) -> int:
@@ -234,11 +234,9 @@ def fit_parameters(table: LevelOrderTable, ell: int) -> FitParameters | None:
     values then give lambda and nu.  A nonzero remainder in any division
     means the (unique) rational solution is not integral.  The solution
     must also have rho, mu, lambda >= 0 and reproduce the level preceding
-    the window when the table has one.  ell must be an odd prime, as for
-    ElementaryModuleSpec.
+    the window when the table has one.
     """
-    if ell == 2 or not is_prime(ell):
-        raise IwalambdaError("ell must be an odd prime")
+    require_odd_prime(IwalambdaError, ell)
     ns = table.levels()
     if len(ns) < 4:
         raise ValueError("table must contain at least 4 consecutive levels")

@@ -8,13 +8,10 @@ n_p (the place above p stops splitting at layer n_p of the Z_ell-tower)
 has the closed form v_ell(p^(ell-1) - 1) - 1; an independent place-count
 oracle keeps that formula honest.
 
-A prime set is checked once: validate_prime_set returns a private tuple
-subclass (sorted, distinct primes) and hands an argument of that type back
-unchanged, so a caller that validated S can pass it on to chi_S and to the
-defect layer without any prime being tested again.  Anything else, a list
-or a plain tuple included, is always checked, and a prime must be an int:
-7.0 is rejected, and the per-(field, p) cache is typed so that it never
-answers for 7.0 with the entry of 7.
+A prime set is checked once: a caller that validated S with
+validate_prime_set can pass the result on to chi_S and to the defect
+layer, which do not check it again.  A prime must be an int, and the
+per-(field, p) cache is typed: it never answers 7.0 with the entry of 7.
 """
 
 from __future__ import annotations
@@ -23,7 +20,7 @@ from functools import cached_property, lru_cache
 
 from .characters import VirtualChar, induce_trivial
 from .errors import PrimeSetError
-from .exact import crt, is_prime, mult_order, valuation
+from .exact import crt, is_prime, mult_order, require_odd_prime, valuation
 from .fields import FieldSpec
 from .groups import GroupElement, Subgroup, subgroup_generated
 
@@ -52,6 +49,11 @@ class PrimeLocalData:
         return induce_trivial(self.decomposition.parent, self.decomposition)
 
 
+def _require_prime(p) -> None:
+    if not is_prime(p):
+        raise PrimeSetError(f"{p} is not prime")
+
+
 def splitting_exponent(ell: int, p: int) -> int:
     """n_p = v_ell(p^(ell-1) - 1) - 1 for a tame prime p.
 
@@ -59,10 +61,8 @@ def splitting_exponent(ell: int, p: int) -> int:
     guarantees; splitting_exponent_oracle checks the formula by counting
     places layer by layer.
     """
-    if ell == 2 or not is_prime(ell):
-        raise PrimeSetError("ell must be an odd prime")
-    if not is_prime(p):
-        raise PrimeSetError(f"{p} is not prime")
+    require_odd_prime(PrimeSetError, ell)
+    _require_prime(p)
     if p == ell:
         raise PrimeSetError("wild prime has no tame splitting exponent")
     return valuation(pow(p, ell - 1) - 1, ell) - 1
@@ -93,8 +93,7 @@ def splitting_exponent_oracle(ell: int, p: int) -> int:
 @lru_cache(maxsize=None, typed=True)
 def decomposition_data(field: FieldSpec, p: int) -> PrimeLocalData:
     """Delta_p and I_p inside Delta, from residues mod the conductor."""
-    if not is_prime(p):
-        raise PrimeSetError(f"{p} is not prime")
+    _require_prime(p)
     m = m_prime = field.conductor
     while m_prime % p == 0:
         m_prime //= p
@@ -129,8 +128,7 @@ def validate_prime_set(S) -> tuple[int, ...]:
         repeated = next(p for i, p in enumerate(S) if p in S[:i])
         raise PrimeSetError(f"{repeated} is repeated: a prime list must be a set")
     for p in S:
-        if not is_prime(p):
-            raise PrimeSetError(f"{p} is not prime")
+        _require_prime(p)
     return _PrimeSet(sorted(S))
 
 

@@ -43,13 +43,12 @@ def _chains(prefix=(), order=1, max_order=24, max_rank=3):
 CHAINS = list(_chains())
 
 
-def valuation_by_division(x: int, ell: int) -> int:
-    x = abs(x)
-    k = 0
-    while x % ell == 0:
-        x //= ell
-        k += 1
-    return k
+def valuation_by_gcd(x: int, ell: int) -> int:
+    """The k with ell**k = gcd(x, ell**N), N the bit length of |x|: no
+    division loop, and ell**N exceeds every power of ell that divides x."""
+    n = abs(x).bit_length()
+    g = math.gcd(x, ell**n)
+    return next(k for k in range(n + 1) if ell**k == g)
 
 
 def order_by_powering(a: int, m: int) -> int:
@@ -386,4 +385,4 @@ def poly_level_valuation_weierstrass(f: tuple[int, ...], ell: int, n: int, cap: 
     omega = _mod_monic([math.comb(d, j) if j else 0 for j in range(d + 1)], f)
     cols = [_mod_monic([0] * j + omega, f) for j in range(k)]  # omega * T^j mod f
     rows = [[col[i] for col in cols] + [ell**cap if c == i else 0 for c in range(k)] for i in range(k)]
-    return sum(valuation_by_division(x, ell) for x in smith_normal_form(rows))
+    return sum(valuation_by_gcd(x, ell) for x in smith_normal_form(rows))

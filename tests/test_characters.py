@@ -74,6 +74,12 @@ class TestOrbits:
         with pytest.raises(FieldError, match="ell divides group order"):
             all_ladic_chars(F.delta, 3, F.tau_bar)
 
+    @pytest.mark.parametrize("ell", [9, -3, 15, 1, 2])
+    def test_ell_must_be_an_odd_prime(self, ell):
+        F = field_spec(3, 15)
+        with pytest.raises(FieldError, match="^ell must be an odd prime$"):
+            all_ladic_chars(F.delta, ell, F.tau_bar)
+
     def test_non_involution_rejected(self):
         F = field_spec(3, 15)
         order4 = next(g for g in F.delta.elements() if g.order() == 4)

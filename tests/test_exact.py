@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from iwalambda.errors import FieldError, IwalambdaError, ScaleError
+from iwalambda.errors import FieldError, IwalambdaError, PrimeSetError, ScaleError
 from iwalambda.exact import (
     Record,
     _snf_with_transform,
@@ -19,15 +19,16 @@ from iwalambda.exact import (
     smith_normal_form,
     valuation,
 )
-from iwalambda.characters import AbsChar, LadicChar, VirtualChar
+from iwalambda.characters import AbsChar, LadicChar, VirtualChar, all_ladic_chars
 from iwalambda.cohomology import AmbiguousInput, FiniteGammaModule
-from iwalambda.defect import BaseSymbol, LambdaExpr
+from iwalambda.defect import BaseSymbol, LambdaExpr, imo_lambda
 from iwalambda.fields import FieldSpec
 from iwalambda.groups import FiniteAbelianGroup, GroupElement, subgroup_generated, unit_group
 from iwalambda.iwasawa import (
-    ElementaryModuleSpec, FitParameters, LevelOrderTable, level_order, level_order_table, omega_poly,
+    ElementaryModuleSpec, FitParameters, LevelOrderTable, fit_parameters, level_order, level_order_table, omega_poly,
 )
-from oracles import det_by_cofactors, determinantal_divisors, order_by_powering, primes_below, valuation_by_division
+from iwalambda.splitting import splitting_exponent
+from oracles import det_by_cofactors, determinantal_divisors, order_by_powering, primes_below, valuation_by_gcd
 
 
 class TestValuation:
@@ -49,7 +50,7 @@ class TestValuation:
         for _ in range(200):
             x = rng.randint(1, 10**9)
             ell = rng.choice([2, 3, 5, 7, 11])
-            assert valuation(x, ell) == valuation_by_division(x, ell)
+            assert valuation(x, ell) == valuation_by_gcd(x, ell)
 
     @given(st.integers(min_value=-10**6, max_value=10**6).filter(lambda x: x != 0),
            st.integers(min_value=-10**6, max_value=10**6).filter(lambda x: x != 0),
@@ -369,9 +370,12 @@ class TestRecords:
 
 
 C3 = FiniteAbelianGroup((3,))
+C2 = FiniteAbelianGroup((2,))
+TABLE_0_3 = LevelOrderTable({0: 0, 1: 1, 2: 2, 3: 3})
 
 # (entry, the error it raises for a bad value, a call taking one integer
-# input, an int that call accepts)
+# input, an int that call accepts); an "ell of" entry is exact.require_odd_prime,
+# which rejects a non-int as it rejects any ell that is not an odd prime
 INTEGER_INPUTS = [
     ("conductor", FieldError, lambda v: FieldSpec(3, v), 15),
     ("subgroup generator", FieldError, lambda v: FieldSpec(3, 15, (v,)), 4),
@@ -408,6 +412,16 @@ INTEGER_INPUTS = [
     ("mult_order unit", ValueError, lambda v: mult_order(v, 7), 2),
     ("mult_order modulus", ValueError, lambda v: mult_order(2, v), 7),
     ("smith_normal_form entry", ValueError, lambda v: smith_normal_form([[2, 0], [0, v]]), 3),
+    ("fit rho", ValueError, lambda v: FitParameters(v, 0, 0, 0), 1),
+    ("fit mu", ValueError, lambda v: FitParameters(0, v, 0, 0), 1),
+    ("fit lambda", ValueError, lambda v: FitParameters(0, 0, v, 0), 1),
+    ("fit nu", ValueError, lambda v: FitParameters(0, 0, 0, v), 1),
+    ("ell of FieldSpec", FieldError, lambda v: FieldSpec(v, 15), 3),
+    ("ell of ElementaryModuleSpec", IwalambdaError, lambda v: ElementaryModuleSpec(v, rho=1), 3),
+    ("ell of fit_parameters", IwalambdaError, lambda v: fit_parameters(TABLE_0_3, v), 3),
+    ("ell of splitting_exponent", PrimeSetError, lambda v: splitting_exponent(v, 7), 3),
+    ("ell of imo_lambda", PrimeSetError, lambda v: imo_lambda(v, [7]), 3),
+    ("ell of all_ladic_chars", FieldError, lambda v: all_ladic_chars(C2, v, GroupElement(C2, (1,))), 3),
 ]
 
 
@@ -417,6 +431,7 @@ def test_only_an_int_enters_the_integer_layers(entry, error, build, good, kind):
     """No int() truncation and no float or str passed through: the entry
     raises its own error class for a non-int, and accepts the int."""
     build(good)
-    with pytest.raises(error, match="is not an int") as info:
+    message = "^ell must be an odd prime$" if entry.startswith("ell of ") else "is not an int"
+    with pytest.raises(error, match=message) as info:
         build(kind(good))
     assert type(info.value) is error

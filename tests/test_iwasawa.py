@@ -382,7 +382,7 @@ class TestFitOracle:
 
     @settings(derandomize=True, max_examples=300)
     @given(st.randoms(use_true_random=False))
-    def test_cramer_matches_elimination(self, rng):
+    def test_second_differences_match_elimination(self, rng):
         table, ell = random_fit_table(rng)
         assert fit_parameters(table, ell) == fit_parameters_by_elimination(table, ell)
 
