@@ -123,6 +123,13 @@ class LadicChar(Record):
         return len(self.orbit)
 
 
+def _require_conjugation(tau_bar: GroupElement, group: FiniteAbelianGroup) -> None:
+    if tau_bar.group != group:
+        raise ValueError("tau_bar lives in a different group")
+    if not (tau_bar + tau_bar).is_identity:
+        raise FieldError("tau_bar must square to the identity")
+
+
 def all_ladic_chars(delta: FiniteAbelianGroup, ell: int, tau_bar: GroupElement) -> list[LadicChar]:
     """All ell-adic irreducibles of Delta, sorted by canonical representative.
 
@@ -131,10 +138,7 @@ def all_ladic_chars(delta: FiniteAbelianGroup, ell: int, tau_bar: GroupElement) 
     For the Delta of a field, char_table(field) keeps the same orbits.
     """
     require_odd_prime(FieldError, ell)
-    if not (tau_bar + tau_bar).is_identity:
-        raise FieldError("tau_bar must square to the identity")
-    if tau_bar.group != delta:
-        raise ValueError("element of a different group")
+    _require_conjugation(tau_bar, delta)
     return CharTable(delta, ell, tau_bar).ladic_chars()
 
 
@@ -325,10 +329,7 @@ def restrict(x: VirtualChar, D: Subgroup) -> VirtualChar:
 
 def parity_split(x: VirtualChar, tau_bar: GroupElement) -> tuple[VirtualChar, VirtualChar]:
     """x = x_real + x_imaginary, split by the value at complex conjugation."""
-    if tau_bar.group != x.group:
-        raise ValueError("tau_bar lives in a different group")
-    if not (tau_bar + tau_bar).is_identity:
-        raise FieldError("tau_bar must square to the identity")
+    _require_conjugation(tau_bar, x.group)
     e = x.group.exponent
     real: dict[AbsChar, int] = {}
     imag: dict[AbsChar, int] = {}
@@ -349,8 +350,7 @@ def teichmuller_coeffs(field: FieldSpec) -> tuple[int, ...]:
     coefficient vector (all downstream identities are independent of that
     choice).  Requires mu_ell inside K.
     """
-    if not field.contains_mu_ell:
-        raise FieldError("field does not contain ell-th roots of unity")
+    field.require_mu_ell()
     ell = field.ell
     delta = field.delta
     e = delta.exponent
@@ -385,8 +385,7 @@ def char_table(field: FieldSpec) -> CharTable:
 @lru_cache(maxsize=None)
 def teichmuller(field: FieldSpec) -> LadicChar:
     """omega as an ell-adic character: the odd degree-1 orbit of char_table."""
-    if not field.contains_mu_ell:
-        raise FieldError("field does not contain ell-th roots of unity")
+    field.require_mu_ell()
     table = char_table(field)
     return LadicChar(field.delta, field.ell, (table.chars[table.omega],), IMAGINARY)
 

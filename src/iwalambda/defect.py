@@ -116,10 +116,6 @@ def ladic_chars_of(field: FieldSpec) -> tuple[LadicChar, ...]:
     return tuple(char_table(field).ladic_chars())
 
 
-def imaginary_chars_of(field: FieldSpec) -> list[LadicChar]:
-    return [phi for phi in ladic_chars_of(field) if phi.parity == IMAGINARY]
-
-
 def _validate_tame(ell: int, S) -> tuple[int, ...]:
     S = validate_prime_set(S)
     if ell in S:
@@ -127,23 +123,25 @@ def _validate_tame(ell: int, S) -> tuple[int, ...]:
     return S
 
 
-def _s_phi(field: FieldSpec, S: tuple[int, ...], phi: LadicChar) -> tuple[int, ...]:
-    """The primes of S, already validated as tame, whose full decomposition
-    subgroup dies in phi, a character of field.delta.
+def _s_phi_character(field: FieldSpec, S, weigh) -> VirtualChar:
+    """weigh(weights) copies of each imaginary ell-adic phi with nonempty
+    S_phi, where S_phi is the set of primes of the tame set S whose full
+    decomposition subgroup dies in phi and weights lists their ell^{n_p}.
 
     A character dies on Delta_p exactly when it occurs in Ind_{Delta_p} 1,
     which decomposition_data keeps per (field, p), so this reads one
-    multiplicity per prime.  Orbit members share kernels (ell is prime to
-    |Delta|), so the canonical representative decides for the orbit.
+    multiplicity per (phi, p).  Orbit members share kernels (ell is prime
+    to |Delta|), so the canonical representative decides for the orbit.
     """
-    return tuple(p for p in S if decomposition_data(field, p).induced_trivial.multiplicity(phi.rep))
-
-
-def _imaginary_s_phi_weights(field: FieldSpec, S: tuple[int, ...]):
-    """Yield (phi, [ell^{n_p} for p in S_phi]) for each imaginary ell-adic
-    phi, for an S already validated as tame."""
-    for phi in imaginary_chars_of(field):
-        yield phi, [decomposition_data(field, p).weight for p in _s_phi(field, S, phi)]
+    field.require_mirror_valid()
+    data = [decomposition_data(field, p) for p in _validate_tame(field.ell, S)]
+    mults = {}
+    for phi in ladic_chars_of(field):
+        if phi.parity == IMAGINARY:
+            weights = [d.weight for d in data if d.induced_trivial.multiplicity(phi.rep)]
+            if weights:
+                mults.update(dict.fromkeys(phi.orbit, weigh(weights)))
+    return VirtualChar(field.delta, mults)
 
 
 def defect_character(field: FieldSpec, S) -> VirtualChar:
@@ -153,13 +151,7 @@ def defect_character(field: FieldSpec, S) -> VirtualChar:
     nonempty S_phi of ell^(max n_p over S_phi) copies of phi.  Purely
     imaginary and componentwise nonnegative by construction.
     """
-    field.require_mirror_valid()
-    S = _validate_tame(field.ell, S)
-    mults = {}
-    for phi, weights in _imaginary_s_phi_weights(field, S):
-        if weights:
-            mults.update(dict.fromkeys(phi.orbit, max(weights)))
-    return VirtualChar(field.delta, mults)
+    return _s_phi_character(field, S, max)
 
 
 def _kill_counts(field: FieldSpec, S) -> dict:
@@ -221,13 +213,8 @@ def lambda_shift_real(field: FieldSpec, S) -> LambdaExpr:
     ell^(max n_p over S_phi)] copies of the mirror of phi; zero whenever
     every S_phi has at most one element.
     """
-    field.require_mirror_valid()
-    S = _validate_tame(field.ell, S)
-    mults = {}
-    for phi, weights in _imaginary_s_phi_weights(field, S):
-        if weights:
-            mults.update(dict.fromkeys(phi.orbit, sum(weights) - max(weights)))
-    return LambdaExpr({BaseSymbol.LAMBDA_REAL: 1}, mirror(VirtualChar(field.delta, mults), field))
+    shift = _s_phi_character(field, S, lambda weights: sum(weights) - max(weights))
+    return LambdaExpr({BaseSymbol.LAMBDA_REAL: 1}, mirror(shift, field))
 
 
 def lambda_shift_imaginary(field: FieldSpec, S) -> LambdaExpr:

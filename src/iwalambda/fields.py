@@ -55,9 +55,12 @@ class FieldSpec:
 
     # -- validity ------------------------------------------------------------
 
-    def require_mirror_valid(self) -> None:
+    def require_mu_ell(self) -> None:
         if not self.contains_mu_ell:
             raise FieldError("field does not contain ell-th roots of unity")
+
+    def require_mirror_valid(self) -> None:
+        self.require_mu_ell()
         if not self.degree_prime_to_ell:
             raise FieldError("ell divides group order")
 

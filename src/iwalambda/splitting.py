@@ -119,16 +119,17 @@ class _PrimeSet(tuple):
 
 
 def validate_prime_set(S) -> tuple[int, ...]:
-    """The sorted primes of S, rejecting repeats and non-primes in the
-    order given; a set this function returned comes back unchanged."""
+    """The sorted primes of S, rejecting the first non-prime in the order
+    given, then the first repeat; a set this function returned comes back
+    unchanged."""
     if type(S) is _PrimeSet:
         return S
     S = tuple(S)
+    for p in S:
+        _require_prime(p)
     if len(set(S)) != len(S):
         repeated = next(p for i, p in enumerate(S) if p in S[:i])
         raise PrimeSetError(f"{repeated} is repeated: a prime list must be a set")
-    for p in S:
-        _require_prime(p)
     return _PrimeSet(sorted(S))
 
 

@@ -150,7 +150,8 @@ def all_subgroups(G: FiniteAbelianGroup) -> list[Subgroup]:
 
 def induce_trivial_by_scan(delta: FiniteAbelianGroup, D: Subgroup) -> VirtualChar:
     """Every character of Delta that vanishes on every element of D, each once."""
-    return VirtualChar(delta, {chi: 1 for chi in all_abs_chars(delta) if chi.is_trivial_on(D.elements)})
+    elements = D.elements
+    return VirtualChar(delta, {chi: 1 for chi in all_abs_chars(delta) if chi.is_trivial_on(elements)})
 
 
 def all_ladic_chars_by_walk(delta: FiniteAbelianGroup, ell: int, tau_bar) -> list[LadicChar]:

@@ -23,7 +23,7 @@ from iwalambda.characters import (
     teichmuller_coeffs,
     trivial_char,
 )
-from iwalambda.defect import ladic_chars_of
+from iwalambda.defect import defect_character, ladic_chars_of
 from iwalambda.errors import FieldError
 from iwalambda.fields import FieldSpec, field_spec
 from iwalambda.groups import FiniteAbelianGroup, GroupElement, subgroup_generated
@@ -269,8 +269,14 @@ class TestTeichmuller:
         # H = <2> mod 15 contains 2 != 1 mod 3, so K loses the cube roots
         F = field_spec(3, 15, (2,))
         assert not F.contains_mu_ell
-        for fn in (teichmuller, teichmuller_coeffs):
-            with pytest.raises(FieldError, match="roots of unity"):
+        entries = (
+            teichmuller,
+            teichmuller_coeffs,
+            lambda F: mirror(VirtualChar.one(F.delta), F),
+            lambda F: defect_character(F, [7]),
+        )
+        for fn in entries:
+            with pytest.raises(FieldError, match="^field does not contain ell-th roots of unity$"):
                 fn(F)
 
     @settings(derandomize=True, max_examples=100)
@@ -372,6 +378,25 @@ class TestCharTable:
 
 
 class TestParitySplit:
+    def test_conjugation_checked_alike_by_both_entries(self):
+        # Delta of m = 15 is Z/2 x Z/4; the other Delta, of m = 33, is Z/2 x Z/10
+        F, other = field_spec(3, 15), field_spec(3, 33)
+        entries = (
+            lambda tau: all_ladic_chars(F.delta, 3, tau),
+            lambda tau: parity_split(VirtualChar.one(F.delta), tau),
+        )
+        cases = (
+            (F.delta_element(2), FieldError, "tau_bar must square to the identity"),
+            (other.tau_bar, ValueError, "tau_bar lives in a different group"),
+            (other.delta_element(2), ValueError, "tau_bar lives in a different group"),
+        )
+        for tau, error, message in cases:
+            assert (tau + tau).is_identity == (tau is other.tau_bar)
+            for entry in entries:
+                with pytest.raises(error, match=f"^{message}$") as raised:
+                    entry(tau)
+                assert type(raised.value) is error
+
     def test_one_and_omega(self):
         F = field_spec(3, 3)
         one = VirtualChar.one(F.delta)

@@ -8,16 +8,15 @@ from hypothesis import strategies as st
 import iwalambda.characters
 import iwalambda.defect
 import iwalambda.splitting
-from iwalambda.characters import VirtualChar, inner_product, parity_split, teichmuller, trivial_char
+from iwalambda.characters import IMAGINARY, VirtualChar, inner_product, parity_split, teichmuller, trivial_char
 from iwalambda.defect import (
     ORACLE_LEVEL_CAP,
     BaseSymbol,
     CaseTag,
     LambdaExpr,
-    _s_phi,
+    _s_phi_character,
     defect_character,
     defect_oracle,
-    imaginary_chars_of,
     imo_lambda,
     kappa,
     ladic_chars_of,
@@ -49,12 +48,35 @@ def omega_v(field):
     return VirtualChar.from_ladic(teichmuller(field))
 
 
+def scan_s_phis(F, S, chars) -> dict:
+    """imaginary phi -> s_phi_by_scan(F, S, phi), over the phi of chars."""
+    return {phi: s_phi_by_scan(F, S, phi) for phi in chars if phi.parity == IMAGINARY}
+
+
+def assert_s_phi_matches(F, S, s_phis):
+    """_s_phi_character(F, S, weigh) against the S_phi of scan_s_phis,
+    which covers every imaginary phi: on each member of phi, weigh=len
+    gives |S_phi| copies and weigh=sum the sum of ell^{n_p} over S_phi
+    (n_p from the place-count oracle), and no other character is reached."""
+    by_len, by_sum = _s_phi_character(F, S, len), _s_phi_character(F, S, sum)
+    for phi, primes in s_phis.items():
+        assert phi.parity == IMAGINARY
+        weight = sum(F.ell ** splitting_exponent_oracle(F.ell, p) for p in primes)
+        for chi in phi.orbit:
+            assert (by_len.multiplicity(chi), by_sum.multiplicity(chi)) == (len(primes), weight), (F, S, chi.coeffs)
+    reached = sum(phi.degree for phi, primes in s_phis.items() if primes)
+    assert len(by_len.support()) == len(by_sum.support()) == reached
+
+
 class TestSPhi:
     def test_examples(self):
         om = teichmuller(F3)
-        assert _s_phi(F3, validate_prime_set([7, 13]), om) == (7, 13)
-        assert _s_phi(F3, validate_prime_set([2]), om) == ()
-        assert _s_phi(F3, validate_prime_set([]), om) == ()
+        assert s_phi_by_scan(F3, [7, 13], om) == (7, 13)
+        assert _s_phi_character(F3, [7, 13], len) == 2 * omega_v(F3)
+        for S in ([7, 13], [2], []):
+            assert_s_phi_matches(F3, S, scan_s_phis(F3, S, [om]))
+        assert _s_phi_character(F3, [2], len).is_zero
+        assert _s_phi_character(F3, [], sum).is_zero
 
     @given(
         st.sampled_from(PROPERTY_FIELDS),
@@ -63,8 +85,7 @@ class TestSPhi:
     def test_lookup_matches_scan(self, key, S):
         F = field_spec(*key)
         assume(F.ell not in S)
-        for phi in ladic_chars_of(F):
-            assert _s_phi(F, validate_prime_set(S), phi) == s_phi_by_scan(F, S, phi), (key, S, phi.rep.coeffs)
+        assert_s_phi_matches(F, S, scan_s_phis(F, S, ladic_chars_of(F)))
 
 
 F15 = field_spec(3, 15)
@@ -107,7 +128,9 @@ class TestPrimeSetValidation:
         "S, message",
         [([7, 13, 7], "7 is repeated: a prime list must be a set"), ([7, 9], "9 is not prime"), ([1], "1 is not prime"),
          # a plain tuple is checked too: only a set validate_prime_set returned skips the check
-         ((7, 13, 7), "7 is repeated"), ((7, 9), "9 is not prime")],
+         ((7, 13, 7), "7 is repeated"), ((7, 9), "9 is not prime"),
+         # every element is checked to be a prime before S is checked for repeats
+         ([7, 7, 9], "^9 is not prime$"), ([[7]], r"^\[7\] is not prime$"), ([7, [7]], r"^\[7\] is not prime$")],
     )
     def test_raw_list_rejected(self, entry, S, message):
         with pytest.raises(PrimeSetError, match=message):
@@ -222,9 +245,10 @@ class TestDefect:
         for F in TEST_FIELDS:
             for S in ([7, 13], [2, 7, 13, 17], [5, 17, 53]):
                 d = defect_character(F, S)
-                for phi in imaginary_chars_of(F):
+                s_phis = scan_s_phis(F, S, ladic_chars_of(F))
+                assert_s_phi_matches(F, S, s_phis)
+                for phi, primes in s_phis.items():
                     comp = inner_product(d, VirtualChar.from_ladic(phi)) // phi.degree
-                    primes = _s_phi(F, validate_prime_set(S), phi)
                     bound = sum(F.ell ** decomposition_data(F, p).n_p for p in primes)
                     assert 0 <= comp <= bound
 
@@ -433,11 +457,11 @@ def test_oracles_do_not_read_the_char_table(monkeypatch):
     chars = all_ladic_chars_by_walk(F.delta, F.ell, F.tau_bar)
     defect = defect_oracle(F, S)
     shift = lambda_shift_real_oracle(F, S)
-    s_phis = [s_phi_by_scan(F, S, phi) for phi in chars]
+    s_phis = scan_s_phis(F, S, chars)
     inductions = [induce_trivial_by_scan(F.delta, decomposition_data(F, p).decomposition) for p in S]
     monkeypatch.undo()
     assert defect == defect_character(F, S)
     assert shift == lambda_shift_real(F, S).shift
     assert chars == list(ladic_chars_of(F))
-    assert s_phis == [_s_phi(F, validate_prime_set(S), phi) for phi in chars]
+    assert_s_phi_matches(F, S, s_phis)
     assert inductions == [decomposition_data(F, p).induced_trivial for p in S]
